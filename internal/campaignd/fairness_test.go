@@ -61,7 +61,7 @@ func TestTwoTenantChunkInterleaving(t *testing.T) {
 	})
 	// Small chunks give the scheduler and workers many dispatch points to
 	// interleave; both campaigns must be in flight before chunks flow.
-	s.Coordinator().ChunkSize = 3
+	s.Coordinator().ChunkTarget = time.Millisecond
 
 	mk := func(name, bench string) *manifest.Manifest {
 		return &manifest.Manifest{

@@ -27,10 +27,8 @@ type Config struct {
 	Workers []string
 	// Parallelism bounds in-process simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// ChunkTarget enables throughput-adaptive chunk sizing on the shared
-	// coordinator: chunks for v3 workers are sized so each takes roughly
-	// this long at the worker's observed rate. Zero keeps fixed-size
-	// chunks.
+	// ChunkTarget is the shared coordinator's per-chunk wall-time target
+	// (see dist.Coordinator.ChunkTarget; 0 = 250ms).
 	ChunkTarget time.Duration
 	// MaxRunning bounds concurrently executing campaigns across all
 	// tenants (default 4).

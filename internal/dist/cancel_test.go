@@ -78,7 +78,7 @@ func TestNoChunkDispatchAfterConvergence(t *testing.T) {
 	w1, w2 := startWorker(t), startWorker(t)
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	c := fastCoord(w1.Addr(), w2.Addr())
-	c.ChunkSize = 2 // several chunks per round: convergence races carving
+	c.ChunkTarget = time.Millisecond // several chunks per round: convergence races carving
 	c.Obs = o
 
 	dispatched := func() int64 {

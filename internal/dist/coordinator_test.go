@@ -5,6 +5,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,7 +43,7 @@ func startWorker(t *testing.T) *Worker {
 func fastCoord(workers ...string) *Coordinator {
 	return &Coordinator{
 		Workers:      workers,
-		ChunkSize:    3,
+		ChunkTarget:  time.Millisecond, // many small chunks
 		ChunkTimeout: 10 * time.Second,
 		ReadTimeout:  2 * time.Second,
 		DialTimeout:  time.Second,
@@ -253,8 +254,10 @@ func answerHello(t *testing.T, c *conn) bool {
 }
 
 func TestOutOfOrderResultsCommitInSeedOrder(t *testing.T) {
-	// A worker that streams results in reverse offset order: legal under
-	// the protocol, and must not perturb the returned sample order.
+	// A worker that streams results in reverse offset order, one
+	// single-run batch each: legal under the protocol, and must not
+	// perturb the returned sample order.
+	var multiRun atomic.Bool
 	fake := startFakeWorker(t, func(c *conn) {
 		if !answerHello(t, c) {
 			return
@@ -264,6 +267,9 @@ func TestOutOfOrderResultsCommitInSeedOrder(t *testing.T) {
 			if err != nil || req.Type != frameRunChunk {
 				return
 			}
+			if req.Count > 1 {
+				multiRun.Store(true)
+			}
 			for i := req.Count - 1; i >= 0; i-- {
 				off := req.Start + i
 				res, err := sim.Run(req.Benchmark, *req.Config, req.Scale, req.BaseSeed+uint64(off))
@@ -271,8 +277,9 @@ func TestOutOfOrderResultsCommitInSeedOrder(t *testing.T) {
 					c.send(frame{Type: frameError, ID: req.ID, Error: err.Error()})
 					return
 				}
-				if c.send(frame{Type: frameResult, ID: req.ID, Offset: off,
-					Metrics: res.Metrics, Cycles: res.Cycles}) != nil {
+				b := &ResultBatch{}
+				b.add(off, res.Metrics, res.Cycles, 0)
+				if c.send(frame{Type: frameResultBatch, ID: req.ID, Batch: b}) != nil {
 					return
 				}
 			}
@@ -283,18 +290,26 @@ func TestOutOfOrderResultsCommitInSeedOrder(t *testing.T) {
 	})
 
 	c := fastCoord(fake.addr())
+	// A long target leaves the tail cap alone to carve 10 runs as
+	// 5+3+1+1, so chunks hold several runs to reverse.
+	c.ChunkTarget = time.Hour
 	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 10, testSeed, population.RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPopEqual(t, got, localPop(t, 10))
+	if !multiRun.Load() {
+		t.Error("every chunk held one run; reverse order was never exercised")
+	}
 }
 
 func TestWorkerDeathMidChunkRedispatches(t *testing.T) {
-	// The dying worker streams two bogus results per chunk and drops the
-	// connection without chunk_done, every time. Its partial results must
-	// be discarded (never committed), the chunks re-dispatched, and the
-	// healthy worker must finish the job with local-identical samples.
+	// The dying worker streams a batch of up to two bogus results per
+	// chunk and drops the connection without chunk_done, every time. Its
+	// partial results must be discarded (never committed), the chunks
+	// re-dispatched, and the healthy worker must finish the job with
+	// local-identical samples.
+	var partial atomic.Bool
 	dying := startFakeWorker(t, func(c *conn) {
 		if !answerHello(t, c) {
 			return
@@ -303,16 +318,23 @@ func TestWorkerDeathMidChunkRedispatches(t *testing.T) {
 		if err != nil || req.Type != frameRunChunk {
 			return
 		}
+		b := &ResultBatch{}
 		for i := 0; i < 2 && i < req.Count; i++ {
-			c.send(frame{Type: frameResult, ID: req.ID, Offset: req.Start + i,
-				Metrics: map[string]float64{sim.MetricRuntime: -12345}}) // poison: must never commit
+			b.add(req.Start+i, map[string]float64{sim.MetricRuntime: -12345}, 0, 0) // poison: must never commit
 		}
+		if len(b.Offsets) < req.Count {
+			partial.Store(true)
+		}
+		c.send(frame{Type: frameResultBatch, ID: req.ID, Batch: b})
 		// close without chunk_done: mid-chunk death
 	})
 	healthy := startWorker(t)
 
 	reg := obs.NewRegistry()
 	c := fastCoord(dying.addr(), healthy.Addr())
+	// A long target leaves the tail cap alone to carve 12 runs over two
+	// workers into first chunks of 3, so the poison batch is partial.
+	c.ChunkTarget = time.Hour
 	c.MaxWorkerFailures = 2
 	c.Obs = &obs.Observer{Metrics: reg}
 	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 12, testSeed, population.RunHooks{})
@@ -328,8 +350,84 @@ func TestWorkerDeathMidChunkRedispatches(t *testing.T) {
 	if v := reg.Counter(obs.MetricDistRedispatches).Value(); v == 0 {
 		t.Error("mid-chunk death never triggered a re-dispatch")
 	}
+	if !partial.Load() {
+		t.Error("the dying worker never died with part of a chunk sent")
+	}
 	if v := reg.Counter(obs.MetricDistWorkersDead).Value(); v == 0 {
 		t.Error("repeatedly dying worker was never declared dead")
+	}
+}
+
+// TestMalformedBatchRedispatches drives bad peer batches through
+// dispatch: each one, even when followed by a chunk_done claiming
+// success, must be handled as a transport failure — the chunk
+// re-dispatched to the healthy worker, the poison never committed, and
+// the population byte-identical to local.
+func TestMalformedBatchRedispatches(t *testing.T) {
+	const poison = -12345
+	poisoned := map[string]float64{sim.MetricRuntime: poison}
+	for _, tc := range []struct {
+		name  string
+		batch func(req frame) *ResultBatch
+	}{
+		{"offset outside chunk", func(req frame) *ResultBatch {
+			b := &ResultBatch{}
+			for i := 1; i <= req.Count; i++ {
+				b.add(req.Start+i, poisoned, 0, 0)
+			}
+			return b
+		}},
+		{"offset repeated in batch", func(req frame) *ResultBatch {
+			b := &ResultBatch{}
+			for i := 0; i < req.Count; i++ {
+				b.add(req.Start+i, poisoned, 0, 0)
+			}
+			b.add(req.Start, poisoned, 0, 0)
+			return b
+		}},
+		{"ragged columns", func(req frame) *ResultBatch {
+			b := &ResultBatch{}
+			for i := 0; i < req.Count; i++ {
+				b.add(req.Start+i, poisoned, 0, 0)
+			}
+			b.Cycles = b.Cycles[:len(b.Cycles)-1]
+			return b
+		}},
+		{"nil batch", func(req frame) *ResultBatch { return nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := startFakeWorker(t, func(c *conn) {
+				if !answerHello(t, c) {
+					return
+				}
+				req, err := c.recv(time.Now().Add(5 * time.Second))
+				if err != nil || req.Type != frameRunChunk {
+					return
+				}
+				c.send(frame{Type: frameResultBatch, ID: req.ID, Batch: tc.batch(req)})
+				c.send(frame{Type: frameChunkDone, ID: req.ID, Count: req.Count})
+				c.recv(time.Now().Add(5 * time.Second)) // until the coordinator hangs up
+			})
+			healthy := startWorker(t)
+
+			reg := obs.NewRegistry()
+			c := fastCoord(bad.addr(), healthy.Addr())
+			c.MaxWorkerFailures = 2
+			c.Obs = &obs.Observer{Metrics: reg}
+			got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 12, testSeed, population.RunHooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPopEqual(t, got, localPop(t, 12))
+			for _, s := range got.Metrics[sim.MetricRuntime] {
+				if s == poison {
+					t.Fatal("poison sample from a malformed batch was committed")
+				}
+			}
+			if v := reg.Counter(obs.MetricDistRedispatches).Value(); v == 0 {
+				t.Error("malformed batch never triggered a re-dispatch")
+			}
+		})
 	}
 }
 

@@ -15,8 +15,12 @@
 // Topology: a Coordinator (the campaign process) connects out to one or
 // more Worker servers (cmd/spaworker). The wire protocol is
 // newline-delimited JSON frames over a plain TCP connection — stdlib
-// only, one connection per worker, chunks dispatched pull-style so fast
-// workers naturally take more of the seed range.
+// only, one connection per worker. There is a single protocol version
+// with an exact-match handshake, so coordinators and workers run the
+// same build. Chunks are carved pull-style and sized from each worker's
+// observed throughput, so every dispatch targets the same wall time and
+// fast workers take more of the seed range; workers stream results back
+// in columnar batches.
 //
 // Failure layer: per-chunk deadlines, read and write deadlines on every
 // frame, heartbeats during long chunks, idle-connection reaping and TCP

@@ -45,22 +45,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestResultFrameZeroOffset(t *testing.T) {
-	// Offset 0 is a legitimate seed offset; it must round-trip even
-	// though the field is omitempty on the wire.
-	a, b := pipePair()
-	defer a.close()
-	defer b.close()
-	go a.send(frame{Type: frameResult, ID: 1, Offset: 0, Metrics: map[string]float64{"m": 1.5}})
-	got, err := b.recv(time.Now().Add(2 * time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Offset != 0 || got.Metrics["m"] != 1.5 {
-		t.Errorf("zero offset mangled: %+v", got)
-	}
-}
-
 func TestRecvDeadline(t *testing.T) {
 	a, b := pipePair()
 	defer a.close()
@@ -70,21 +54,25 @@ func TestRecvDeadline(t *testing.T) {
 	}
 }
 
+// TestHandshakeVersionMismatch: the coordinator accepts a hello_ok for
+// exactly ProtocolVersion — older and newer peers alike are refused.
 func TestHandshakeVersionMismatch(t *testing.T) {
-	a, b := pipePair()
-	defer a.close()
-	defer b.close()
-	go func() {
-		f, err := b.recv(time.Now().Add(2 * time.Second))
-		if err != nil || f.Type != frameHello {
-			return
+	for _, v := range []int{0, 1, ProtocolVersion - 1, ProtocolVersion + 1} {
+		a, b := pipePair()
+		go func() {
+			f, err := b.recv(time.Now().Add(2 * time.Second))
+			if err != nil || f.Type != frameHello {
+				return
+			}
+			b.send(frame{Type: frameHelloOK, Version: v})
+		}()
+		err := a.handshake(2 * time.Second)
+		want := fmt.Sprintf("v%d", ProtocolVersion)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("hello_ok v%d should be rejected naming %s, got %v", v, want, err)
 		}
-		b.send(frame{Type: frameHelloOK, Version: ProtocolVersion + 1})
-	}()
-	err := a.handshake(2 * time.Second)
-	want := fmt.Sprintf("v%d", ProtocolVersion)
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("version mismatch should be rejected naming %s, got %v", want, err)
+		a.close()
+		b.close()
 	}
 }
 

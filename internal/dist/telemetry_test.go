@@ -19,6 +19,10 @@ func TestWorkerTelemetryFoldsIntoLabeledGauges(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	coord := fastCoord(addr)
+	// A target no chunk can reach leaves sizing to the tail cap alone:
+	// with one worker each chunk takes half of what remains, so 12 runs
+	// carve deterministically as 6+3+2+1.
+	coord.ChunkTarget = time.Hour
 	coord.Obs = &obs.Observer{Metrics: reg}
 
 	const runs = 12
@@ -44,7 +48,7 @@ func TestWorkerTelemetryFoldsIntoLabeledGauges(t *testing.T) {
 		t.Errorf("mean_run_seconds{worker=%s} = %v, want > 0", addr, got)
 	}
 	if got := reg.CounterL(obs.MetricDistWorkerChunks, l).Value(); got != 4 {
-		t.Errorf("chunks{worker=%s} = %d, want 4 (12 runs / chunk size 3)", addr, got)
+		t.Errorf("chunks{worker=%s} = %d, want 4 (6+3+2+1)", addr, got)
 	}
 
 	st := coord.Status()
@@ -73,54 +77,8 @@ func TestWorkerTelemetryFoldsIntoLabeledGauges(t *testing.T) {
 	}
 }
 
-// TestTelemetryOmittedForV1Peer drives the worker over a raw v1
-// connection and asserts no telemetry field ever appears on the wire —
-// the version gate that keeps old coordinators decoding happily.
-func TestTelemetryOmittedForV1Peer(t *testing.T) {
-	w := startWorker(t)
-
-	raw, err := net.Dial("tcp", w.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := newConn(raw, 2*time.Second)
-	defer nc.close()
-	if err := nc.send(frame{Type: frameHello, Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := nc.recv(time.Now().Add(2 * time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Type != frameHelloOK || f.Version != 1 {
-		t.Fatalf("v1 hello answered with %s v%d, want %s v1", f.Type, f.Version, frameHelloOK)
-	}
-
-	cfg := testJob().Config
-	err = nc.send(frame{Type: frameRunChunk, ID: 7, Benchmark: testBench,
-		Config: &cfg, Scale: testScale, BaseSeed: testSeed, Start: 0, Count: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		f, err := nc.recv(time.Now().Add(10 * time.Second))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Telemetry != nil {
-			t.Fatalf("v1 peer received telemetry on %s frame", f.Type)
-		}
-		if f.Type == frameChunkDone {
-			return
-		}
-		if f.Type == frameError {
-			t.Fatalf("chunk failed: %s", f.Error)
-		}
-	}
-}
-
-// TestTelemetryAttachedForV2Peer is the inverse: a v2 connection must
-// see a snapshot on chunk_done once the worker has served runs.
+// TestTelemetryAttachedForV2Peer: chunk_done carries a telemetry
+// snapshot once the worker has served runs.
 func TestTelemetryAttachedForV2Peer(t *testing.T) {
 	w := startWorker(t)
 
@@ -132,9 +90,6 @@ func TestTelemetryAttachedForV2Peer(t *testing.T) {
 	defer nc.close()
 	if err := nc.handshake(2 * time.Second); err != nil {
 		t.Fatal(err)
-	}
-	if nc.version != ProtocolVersion {
-		t.Fatalf("negotiated v%d, want v%d", nc.version, ProtocolVersion)
 	}
 
 	cfg := testJob().Config
@@ -151,7 +106,7 @@ func TestTelemetryAttachedForV2Peer(t *testing.T) {
 		switch f.Type {
 		case frameChunkDone:
 			if f.Telemetry == nil {
-				t.Fatal("v2 chunk_done carried no telemetry")
+				t.Fatal("chunk_done carried no telemetry")
 			}
 			if f.Telemetry.RunsServed != 3 || f.Telemetry.RunSeconds <= 0 {
 				t.Fatalf("telemetry wrong: %+v", f.Telemetry)

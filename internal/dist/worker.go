@@ -17,9 +17,19 @@ import (
 	"repro/internal/sim"
 )
 
+// Result batching: completed runs accumulate into one columnar
+// result_batch frame, flushed every batchRuns runs, at chunk end, on the
+// rare metric key-set change, and at least every batchFlush so a slow
+// trickle of results still reaches the coordinator — and its progress
+// hooks — promptly.
+const (
+	batchRuns  = 64
+	batchFlush = 25 * time.Millisecond
+)
+
 // Worker serves seed chunks to coordinators: it listens on a TCP
 // address, executes the requested workload+sim runs with bounded local
-// parallelism, and streams per-run results back as they complete
+// parallelism, and streams results back in batches as they complete
 // (offsets identify runs, so arrival order is free to be whatever the
 // scheduler produces). One worker serves any number of coordinator
 // connections concurrently.
@@ -43,21 +53,13 @@ type Worker struct {
 	// (internal/faultx) and in-memory test transports. Nil uses a TCP
 	// listener with keepalive enabled.
 	ListenFunc func(network, address string) (net.Listener, error)
-	// BatchRuns caps how many completed runs accumulate in one
-	// result_batch frame before a flush (0 = 64). Only v3+ connections
-	// batch; older peers get one result frame per run.
-	BatchRuns int
-	// BatchFlush bounds how long a completed run may sit in an unflushed
-	// batch (0 = 25ms), so a slow trickle of results still reaches the
-	// coordinator — and its progress hooks — promptly.
-	BatchFlush time.Duration
 	// Obs receives spans and counters for served chunks; nil disables.
 	Obs *obs.Observer
 
-	// maxVersion, when positive, caps the protocol version this worker
-	// negotiates — a test seam for exercising mixed-version fleets
-	// without building old binaries.
-	maxVersion int
+	// flushRuns and flushEvery, when positive, replace batchRuns and
+	// batchFlush — a test seam that makes one chunk span many batches.
+	flushRuns  int
+	flushEvery time.Duration
 
 	ln       net.Listener
 	sem      chan struct{}
@@ -171,18 +173,15 @@ func (w *Worker) idleTimeout() time.Duration {
 	return w.IdleTimeout
 }
 
-func (w *Worker) batchRuns() int {
-	if w.BatchRuns <= 0 {
-		return 64
+func (w *Worker) batchLimits() (int, time.Duration) {
+	runs, every := batchRuns, batchFlush
+	if w.flushRuns > 0 {
+		runs = w.flushRuns
 	}
-	return w.BatchRuns
-}
-
-func (w *Worker) batchFlush() time.Duration {
-	if w.BatchFlush <= 0 {
-		return 25 * time.Millisecond
+	if w.flushEvery > 0 {
+		every = w.flushEvery
 	}
-	return w.BatchFlush
+	return runs, every
 }
 
 // Addr returns the bound listen address (useful with port 0).
@@ -295,21 +294,12 @@ func (w *Worker) serveConn(nc net.Conn) {
 		}
 		switch f.Type {
 		case frameHello:
-			if f.Version < MinProtocolVersion || f.Version > ProtocolVersion {
+			if f.Version != ProtocolVersion {
 				c.send(frame{Type: frameError,
-					Error: fmt.Sprintf("protocol version %d, worker speaks %d..%d", f.Version, MinProtocolVersion, ProtocolVersion)})
+					Error: fmt.Sprintf("protocol version %d, worker speaks %d", f.Version, ProtocolVersion)})
 				return
 			}
-			// Speak the lower of the two versions: a v1 coordinator gets
-			// plain v1 frames, a v2 one gets telemetry piggybacks but
-			// per-run results, a v3 one gets batched result frames.
-			effective := ProtocolVersion
-			if w.maxVersion > 0 && w.maxVersion < effective {
-				effective = w.maxVersion
-			}
-			c.version = min(f.Version, effective)
-			p := cap(w.sem)
-			if err := c.send(frame{Type: frameHelloOK, Version: c.version, Parallelism: p}); err != nil {
+			if err := c.send(frame{Type: frameHelloOK, Version: ProtocolVersion, Parallelism: cap(w.sem)}); err != nil {
 				return
 			}
 		case framePing:
@@ -348,15 +338,6 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 	w.chunks.Add(1)
 	w.activeChunks.Add(1)
 	defer w.activeChunks.Add(-1)
-	// Telemetry piggybacks are version-gated: a v1 coordinator never sees
-	// the field, so old fleets interoperate unchanged.
-	sendTelemetry := c.version >= telemetryVersion
-	snapshot := func() *WorkerTelemetry {
-		if !sendTelemetry {
-			return nil
-		}
-		return w.telemetry()
-	}
 	if req.Count <= 0 || req.Config == nil || req.Benchmark == "" {
 		span.End(obs.Str("error", "malformed chunk"))
 		return c.send(frame{Type: frameError, ID: req.ID, Error: "malformed run_chunk frame"})
@@ -390,7 +371,7 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 				// A failed heartbeat means the coordinator is gone: the
 				// error itself also surfaces on the result path, but
 				// dooming here stops run launches a heartbeat sooner.
-				if c.send(frame{Type: frameHeartbeat, ID: req.ID, Telemetry: snapshot()}) != nil {
+				if c.send(frame{Type: frameHeartbeat, ID: req.ID, Telemetry: w.telemetry()}) != nil {
 					doom()
 				}
 			}
@@ -415,28 +396,21 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 	// the chunk (the coordinator decides whether to surface it); runs
 	// already executing still drain so the semaphore is returned.
 	//
-	// On v3+ connections completed runs accumulate into a columnar
-	// result_batch, flushed every BatchRuns runs or BatchFlush of wall
-	// time — one frame and one syscall amortized over the whole batch
-	// instead of per run. Older peers keep one result frame per run.
+	// Completed runs accumulate into a columnar result_batch, so one
+	// frame and one syscall amortize over the whole batch.
 	type outcome struct {
 		runErr, sendErr error
 		sent            int
 	}
 	outcomeCh := make(chan outcome, 1)
-	batching := c.version >= batchVersion
 	go func() {
 		var o outcome
-		var rb *ResultBatch
-		var flushC <-chan time.Time // nil (never fires) unless batching
-		if batching {
-			rb = &ResultBatch{}
-			t := time.NewTicker(w.batchFlush())
-			defer t.Stop()
-			flushC = t.C
-		}
+		rb := &ResultBatch{}
+		maxRuns, every := w.batchLimits()
+		t := time.NewTicker(every)
+		defer t.Stop()
 		flush := func() {
-			if rb == nil || rb.len() == 0 || o.sendErr != nil || o.runErr != nil {
+			if rb.len() == 0 || o.sendErr != nil || o.runErr != nil {
 				return
 			}
 			if err := c.send(frame{Type: frameResultBatch, ID: req.ID, Batch: rb}); err != nil {
@@ -458,16 +432,6 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 			if o.sendErr != nil || o.runErr != nil {
 				return
 			}
-			if !batching {
-				if err := c.send(frame{Type: frameResult, ID: req.ID, Offset: r.offset,
-					Metrics: r.metrics, Cycles: r.cycles, ElapsedUS: r.elapsed.Microseconds()}); err != nil {
-					o.sendErr = err
-					doom()
-				} else {
-					o.sent++
-				}
-				return
-			}
 			if !rb.add(r.offset, r.metrics, r.cycles, r.elapsed.Microseconds()) {
 				// Metric key set changed mid-chunk (rare): flush the
 				// homogeneous batch and start over on a fresh one.
@@ -477,7 +441,7 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 				}
 				rb.add(r.offset, r.metrics, r.cycles, r.elapsed.Microseconds())
 			}
-			if rb.len() >= w.batchRuns() {
+			if rb.len() >= maxRuns {
 				flush()
 			}
 		}
@@ -490,7 +454,7 @@ func (w *Worker) runChunk(c *conn, req frame) error {
 					return
 				}
 				handle(r)
-			case <-flushC:
+			case <-t.C:
 				flush()
 			}
 		}
@@ -547,5 +511,5 @@ launch:
 		return err
 	}
 	span.End(obs.Int("results", o.sent))
-	return c.send(frame{Type: frameChunkDone, ID: req.ID, Count: o.sent, Telemetry: snapshot()})
+	return c.send(frame{Type: frameChunkDone, ID: req.ID, Count: o.sent, Telemetry: w.telemetry()})
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -48,15 +49,24 @@ func TestWorkerHelloAndPing(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsVersionSkew: the handshake is exact-match — any
+// hello but ProtocolVersion gets an error frame naming both versions,
+// then the connection closes.
 func TestWorkerRejectsVersionSkew(t *testing.T) {
 	w := startWorker(t)
-	c := dialRaw(t, w.Addr())
-	if err := c.send(frame{Type: frameHello, Version: ProtocolVersion + 7}); err != nil {
-		t.Fatal(err)
-	}
-	f := recvT(t, c)
-	if f.Type != frameError || !strings.Contains(f.Error, "version") {
-		t.Errorf("version skew answered with %+v", f)
+	for _, v := range []int{0, 1, 2, ProtocolVersion + 1, ProtocolVersion + 7} {
+		c := dialRaw(t, w.Addr())
+		if err := c.send(frame{Type: frameHello, Version: v}); err != nil {
+			t.Fatal(err)
+		}
+		f := recvT(t, c)
+		if f.Type != frameError || !strings.Contains(f.Error, fmt.Sprintf("version %d", v)) ||
+			!strings.Contains(f.Error, fmt.Sprintf("speaks %d", ProtocolVersion)) {
+			t.Errorf("hello v%d answered with %+v", v, f)
+		}
+		if _, err := c.recv(time.Now().Add(2 * time.Second)); err == nil {
+			t.Errorf("worker kept the v%d connection open after rejecting it", v)
+		}
 	}
 }
 
@@ -79,13 +89,7 @@ func TestWorkerStreamsChunk(t *testing.T) {
 		switch f.Type {
 		case frameHeartbeat:
 			continue
-		case frameResult:
-			if f.ID != id {
-				t.Fatalf("result for chunk %d, want %d", f.ID, id)
-			}
-			got[f.Offset] = f.Metrics
 		case frameResultBatch:
-			// The handshake negotiated v3, so results arrive batched.
 			if f.ID != id {
 				t.Fatalf("result_batch for chunk %d, want %d", f.ID, id)
 			}

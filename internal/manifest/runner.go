@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -111,11 +110,6 @@ type Runner struct {
 	// is non-empty — the fault-injection seam (internal/faultx) behind
 	// the CLIs' -chaos-seed flag. Nil uses the real network.
 	Dial dist.DialFunc
-	// ChunkTarget enables throughput-adaptive chunk sizing on the lazily
-	// created coordinator: chunks sent to v3 workers are sized so each
-	// takes roughly this long at the worker's observed run rate. Zero
-	// keeps fixed-size chunks. Ignored when Coord is injected.
-	ChunkTarget time.Duration
 	// PopCache, when non-nil, is consulted before simulating an entry and
 	// fed after. It is content-addressed by the full generation recipe, so
 	// a hit is byte-identical to re-simulating; unlike the per-campaign
@@ -164,7 +158,7 @@ func (r *Runner) Coordinator() *dist.Coordinator {
 	r.coordMu.Lock()
 	defer r.coordMu.Unlock()
 	if r.coord == nil {
-		r.coord = &dist.Coordinator{Workers: r.Workers, Parallelism: r.Parallelism, ChunkTarget: r.ChunkTarget, Obs: r.Obs, Dial: r.Dial}
+		r.coord = &dist.Coordinator{Workers: r.Workers, Parallelism: r.Parallelism, Obs: r.Obs, Dial: r.Dial}
 	}
 	return r.coord
 }
