@@ -17,18 +17,54 @@ import (
 // so a passing run proves the optimized fast paths are byte-identical.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json")
 
-// goldenRecord pins one execution: the cycle count and every scalar metric,
+// goldenRecord pins one execution: the cycle count, every scalar metric —
 // formatted with strconv.FormatFloat(-1) so the comparison is exact (two
-// float64 values render identically iff their bits agree).
+// float64 values render identically iff their bits agree) — and every
+// per-component event counter in Detail.
 type goldenRecord struct {
+	Config    string            `json:"config"`
 	Benchmark string            `json:"benchmark"`
 	Scale     float64           `json:"scale"`
 	Seed      uint64            `json:"seed"`
 	Cycles    uint64            `json:"cycles"`
 	Metrics   map[string]string `json:"metrics"`
+	Detail    Detail            `json:"detail"`
 }
 
 var goldenScales = []float64{0.05, 0.2}
+
+// goldenConfig is one named system configuration the golden file pins.
+type goldenConfig struct {
+	name   string
+	cfg    Config
+	scales []float64
+}
+
+// goldenConfigs is the pinned configuration matrix: the default system at
+// two scales, and every variant a campaign or ablation can select — the
+// manifest variants (hardware, l2half, l2double), the coherence-protocol
+// and replacement-policy ablations, and the prefetcher with the gshare
+// predictor — at the smaller scale.
+func goldenConfigs() []goldenConfig {
+	variant := func(name string, edit func(*Config)) goldenConfig {
+		cfg := DefaultConfig()
+		edit(&cfg)
+		return goldenConfig{name: name, cfg: cfg, scales: goldenScales[:1]}
+	}
+	return []goldenConfig{
+		{name: "default", cfg: DefaultConfig(), scales: goldenScales},
+		{name: "hardware", cfg: HardwareLikeConfig(), scales: goldenScales[:1]},
+		variant("l2half", func(c *Config) { c.L2Size = 512 * 1024 }),
+		variant("l2double", func(c *Config) { c.L2Size = 1024 * 1024 }),
+		variant("msi", func(c *Config) { c.CoherenceProtocol = "msi" }),
+		variant("fifo", func(c *Config) { c.ReplacementPolicy = "fifo" }),
+		variant("random", func(c *Config) { c.ReplacementPolicy = "random" }),
+		variant("prefetch+gshare", func(c *Config) {
+			c.PrefetchNextLine = true
+			c.BPKind = "gshare"
+		}),
+	}
+}
 
 const goldenSeed = 1
 
@@ -48,26 +84,31 @@ func formatMetrics(res *Result) map[string]string {
 func runGolden(t *testing.T) []goldenRecord {
 	t.Helper()
 	var recs []goldenRecord
-	for _, bench := range workload.Names() {
-		for _, scale := range goldenScales {
-			res, err := Run(bench, DefaultConfig(), scale, goldenSeed)
-			if err != nil {
-				t.Fatalf("Run(%s, %g): %v", bench, scale, err)
+	for _, gc := range goldenConfigs() {
+		for _, bench := range workload.Names() {
+			for _, scale := range gc.scales {
+				res, err := Run(bench, gc.cfg, scale, goldenSeed)
+				if err != nil {
+					t.Fatalf("Run(%s, %s, %g): %v", bench, gc.name, scale, err)
+				}
+				recs = append(recs, goldenRecord{
+					Config:    gc.name,
+					Benchmark: bench,
+					Scale:     scale,
+					Seed:      goldenSeed,
+					Cycles:    res.Cycles,
+					Metrics:   formatMetrics(res),
+					Detail:    res.Detail,
+				})
 			}
-			recs = append(recs, goldenRecord{
-				Benchmark: bench,
-				Scale:     scale,
-				Seed:      goldenSeed,
-				Cycles:    res.Cycles,
-				Metrics:   formatMetrics(res),
-			})
 		}
 	}
 	return recs
 }
 
-// TestGoldenProfilesByteIdentical pins Result.Cycles and every metric for all nine
-// benchmark profiles at two scales against testdata/golden.json. It is the
+// TestGoldenProfilesByteIdentical pins Result.Cycles, every metric and the
+// full Detail for all nine benchmark profiles under every configuration of
+// goldenConfigs against testdata/golden.json. It is the
 // contract every performance optimization must preserve: the pooled runner,
 // the inlined event heap, and the cache/coherence fast paths may change how
 // a run executes, never what it computes.
@@ -101,12 +142,15 @@ func TestGoldenProfilesByteIdentical(t *testing.T) {
 	}
 	for i, w := range want {
 		g := got[i]
-		label := fmt.Sprintf("%s scale=%g seed=%d", w.Benchmark, w.Scale, w.Seed)
-		if g.Benchmark != w.Benchmark || g.Scale != w.Scale || g.Seed != w.Seed {
-			t.Fatalf("record %d is %s/%g/%d, want %s", i, g.Benchmark, g.Scale, g.Seed, label)
+		label := fmt.Sprintf("%s %s scale=%g seed=%d", w.Config, w.Benchmark, w.Scale, w.Seed)
+		if g.Config != w.Config || g.Benchmark != w.Benchmark || g.Scale != w.Scale || g.Seed != w.Seed {
+			t.Fatalf("record %d is %s/%s/%g/%d, want %s", i, g.Config, g.Benchmark, g.Scale, g.Seed, label)
 		}
 		if g.Cycles != w.Cycles {
 			t.Errorf("%s: cycles = %d, want %d", label, g.Cycles, w.Cycles)
+		}
+		if g.Detail != w.Detail {
+			t.Errorf("%s: detail = %+v, want %+v", label, g.Detail, w.Detail)
 		}
 		if len(g.Metrics) != len(w.Metrics) {
 			t.Errorf("%s: %d metrics, want %d", label, len(g.Metrics), len(w.Metrics))
