@@ -77,9 +77,9 @@ func TestWorkerTelemetryFoldsIntoLabeledGauges(t *testing.T) {
 	}
 }
 
-// TestTelemetryAttachedForV2Peer: chunk_done carries a telemetry
+// TestTelemetryAttachedToChunkDone: chunk_done carries a telemetry
 // snapshot once the worker has served runs.
-func TestTelemetryAttachedForV2Peer(t *testing.T) {
+func TestTelemetryAttachedToChunkDone(t *testing.T) {
 	w := startWorker(t)
 
 	raw, err := net.Dial("tcp", w.Addr())

@@ -35,14 +35,16 @@ func (p Policy) String() string {
 	}
 }
 
-// Line is one cache line's tag state.
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set logical clock: larger means more recently used.
-	lru uint64
-}
+// Line state packs into one tag word per way: the tag above tagShift, then
+// the dirty and valid flags. A hit test is then a single compare of the word
+// (dirty flag masked off) against the wanted tag with the valid flag set.
+// The flags take the tag's top two bits, which a block of 4 bytes or more
+// always leaves clear.
+const (
+	lineValid = 1 << 0
+	lineDirty = 1 << 1
+	tagShift  = 2
+)
 
 // Stats counts cache events.
 type Stats struct {
@@ -52,7 +54,9 @@ type Stats struct {
 	Writebacks uint64
 }
 
-// Cache is a set-associative, write-back cache.
+// Cache is a set-associative, write-back cache. Line state is held in two
+// parallel arrays indexed by slot (set × ways + way), so a caller can keep
+// per-line state of its own in arrays of the same length (see Access).
 type Cache struct {
 	name      string
 	sets      int
@@ -64,7 +68,10 @@ type Cache struct {
 	setShift uint
 	setMask  uint64
 	policy   Policy
-	lines    []line // sets × ways, row-major
+	tags     []uint64 // packed tag and flags per slot; zero is an invalid line
+	// stamps is the per-slot logical clock of the last fill (and, under
+	// LRU, the last hit): larger means more recent.
+	stamps   []uint64
 	clock    uint64
 	rngState uint64 // xorshift state for the Random policy
 	stats    Stats
@@ -117,7 +124,8 @@ func New(cfg Config) (*Cache, error) {
 		ways:      cfg.Ways,
 		blockBits: blockBits,
 		policy:    cfg.Policy,
-		lines:     make([]line, sets*cfg.Ways),
+		tags:      make([]uint64, sets*cfg.Ways),
+		stamps:    make([]uint64, sets*cfg.Ways),
 		rngState:  initialRNGState,
 	}
 	if sets&(sets-1) == 0 {
@@ -131,11 +139,12 @@ func New(cfg Config) (*Cache, error) {
 
 // Reset returns the cache to its post-New state — every line invalid, the
 // LRU clock and the Random-policy stream at their initial values, all
-// counters zero — without reallocating the line array. It exists so a
+// counters zero — without reallocating the line arrays. It exists so a
 // pooled simulation runner can reuse the multi-megabyte line arrays across
 // runs while staying bit-identical to a freshly constructed cache.
 func (c *Cache) Reset() {
-	clear(c.lines)
+	clear(c.tags)
+	clear(c.stamps)
 	c.clock = 0
 	c.rngState = initialRNGState
 	c.stats = Stats{}
@@ -157,6 +166,9 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 // AccessResult describes the outcome of a cache access.
 type AccessResult struct {
 	Hit bool
+	// Slot is the line now holding the accessed block: the hit way, or the
+	// way the miss filled. On a miss it is also the displaced line's slot.
+	Slot int
 	// Evicted is set when a valid line was displaced to make room.
 	Evicted bool
 	// EvictedAddr is the block address of the displaced line.
@@ -171,31 +183,32 @@ type AccessResult struct {
 func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	set, tag := c.index(addr)
 	base := set * c.ways
-	lines := c.lines[base : base+c.ways : base+c.ways]
+	tags := c.tags[base : base+c.ways : base+c.ways]
+	stamps := c.stamps[base : base+c.ways : base+c.ways]
 	c.clock++
+	want := tag<<tagShift | lineValid
 
 	// One pass over the set serves both hit detection and victim
 	// pre-selection (first invalid way, else the smallest stamp for LRU and
 	// FIFO — FIFO never refreshes stamps on hits), so the miss path does
-	// not rescan. Victim choice is identical to the former two-loop form.
+	// not rescan.
 	victim := -1
 	minIdx := -1
 	var oldest uint64 = ^uint64(0)
-	for w := range lines {
-		ln := &lines[w]
-		if ln.valid {
-			if ln.tag == tag {
-				if c.policy == LRU {
-					ln.lru = c.clock
-				}
-				if write {
-					ln.dirty = true
-				}
-				c.stats.Hits++
-				return AccessResult{Hit: true}
+	for w, t := range tags {
+		if t&^lineDirty == want {
+			if c.policy == LRU {
+				stamps[w] = c.clock
 			}
-			if ln.lru < oldest {
-				oldest = ln.lru
+			if write {
+				tags[w] = t | lineDirty
+			}
+			c.stats.Hits++
+			return AccessResult{Hit: true, Slot: base + w}
+		}
+		if t&lineValid != 0 {
+			if stamps[w] < oldest {
+				oldest = stamps[w]
 				minIdx = w
 			}
 		} else if victim == -1 {
@@ -213,21 +226,21 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 			victim = minIdx
 		}
 	}
-	ln := &lines[victim]
-	res := AccessResult{}
-	if ln.valid {
+	res := AccessResult{Slot: base + victim}
+	if old := tags[victim]; old&lineValid != 0 {
 		res.Evicted = true
-		res.EvictedAddr = c.reconstruct(set, ln.tag)
-		if ln.dirty {
+		res.EvictedAddr = c.reconstruct(set, old>>tagShift)
+		if old&lineDirty != 0 {
 			res.Writeback = true
 			c.stats.Writebacks++
 		}
 		c.stats.Evictions++
 	}
-	ln.valid = true
-	ln.tag = tag
-	ln.dirty = write
-	ln.lru = c.clock
+	tags[victim] = want
+	if write {
+		tags[victim] |= lineDirty
+	}
+	stamps[victim] = c.clock
 	c.stats.Misses++
 	return res
 }
@@ -237,34 +250,31 @@ func (c *Cache) reconstruct(set int, tag uint64) uint64 {
 	return (tag*uint64(c.sets) + uint64(set)) << c.blockBits
 }
 
-// Contains reports whether addr's block is resident, without touching LRU
-// state or statistics.
-func (c *Cache) Contains(addr uint64) bool {
+// Slot returns the slot of addr's block, or -1 when it is not resident,
+// without touching replacement state or statistics.
+func (c *Cache) Slot(addr uint64) int {
 	set, tag := c.index(addr)
 	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
-			return true
+	want := tag<<tagShift | lineValid
+	for w, t := range c.tags[base : base+c.ways] {
+		if t&^lineDirty == want {
+			return base + w
 		}
 	}
-	return false
+	return -1
 }
 
 // Invalidate drops addr's block if resident, returning whether it was dirty
 // (the caller models the writeback). Used for coherence invalidations and
 // L2-inclusion back-invalidations.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
-			ln.valid = false
-			return true, ln.dirty
-		}
+	slot := c.Slot(addr)
+	if slot < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = c.tags[slot]&lineDirty != 0
+	c.tags[slot] = 0
+	return true, dirty
 }
 
 // FlushRatio invalidates roughly the given fraction of resident lines
@@ -282,12 +292,12 @@ func (c *Cache) FlushRatio(ratio float64) int {
 		stride = 1
 	}
 	dropped, seen := 0, 0
-	for i := range c.lines {
-		if !c.lines[i].valid {
+	for i, t := range c.tags {
+		if t&lineValid == 0 {
 			continue
 		}
 		if seen%stride == 0 {
-			c.lines[i].valid = false
+			c.tags[i] = 0
 			dropped++
 		}
 		seen++
@@ -295,17 +305,15 @@ func (c *Cache) FlushRatio(ratio float64) int {
 	return dropped
 }
 
-// Blocks returns the block addresses of all resident lines, in no
-// particular order. It exists for invariant checks (e.g. verifying L2
-// inclusion) and does not touch LRU state or statistics.
-func (c *Cache) Blocks() []uint64 {
-	var out []uint64
-	for i := range c.lines {
-		if c.lines[i].valid {
-			out = append(out, c.reconstruct(i/c.ways, c.lines[i].tag))
-		}
-	}
-	return out
+// Lines returns the number of line slots (sets × ways).
+func (c *Cache) Lines() int { return len(c.tags) }
+
+// Block returns the block address held in slot and whether the line is
+// valid. It exists for invariant checks (e.g. verifying L2 inclusion) and
+// does not touch replacement state or statistics.
+func (c *Cache) Block(slot int) (block uint64, valid bool) {
+	t := c.tags[slot]
+	return c.reconstruct(slot/c.ways, t>>tagShift), t&lineValid != 0
 }
 
 // Stats returns a copy of the event counters.

@@ -65,7 +65,7 @@ func TestLRUReplacement(t *testing.T) {
 	if !res.Evicted || res.EvictedAddr != b {
 		t.Errorf("expected eviction of %#x, got %+v", b, res)
 	}
-	if !c.Contains(a) || !c.Contains(d) || c.Contains(b) {
+	if c.Slot(a) < 0 || c.Slot(d) < 0 || c.Slot(b) >= 0 {
 		t.Error("LRU victim selection wrong")
 	}
 }
@@ -91,7 +91,7 @@ func TestInvalidate(t *testing.T) {
 	if !present || !dirty {
 		t.Errorf("invalidate of dirty resident line = (%v,%v)", present, dirty)
 	}
-	if c.Contains(0x40) {
+	if c.Slot(0x40) >= 0 {
 		t.Error("line still resident after invalidate")
 	}
 	present, _ = c.Invalidate(0x40)
@@ -100,19 +100,23 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestContainsDoesNotTouchLRU(t *testing.T) {
+func TestSlotDoesNotTouchLRU(t *testing.T) {
 	c := mustNew(t, 1024, 2, 64)
 	setStride := uint64(64 * 8)
 	a, b, d := uint64(0), setStride, 2*setStride
 	c.Access(a, false)
 	c.Access(b, false)
 	// Probing a must NOT refresh it; the next conflict then evicts a.
-	if !c.Contains(a) {
+	slot := c.Slot(a)
+	if slot < 0 {
 		t.Fatal("a should be resident")
 	}
 	res := c.Access(d, false)
 	if res.EvictedAddr != a {
-		t.Errorf("Contains must not refresh LRU; evicted %#x, want %#x", res.EvictedAddr, a)
+		t.Errorf("Slot must not refresh LRU; evicted %#x, want %#x", res.EvictedAddr, a)
+	}
+	if res.Slot != slot {
+		t.Errorf("the fill took slot %d, want the displaced line's slot %d", res.Slot, slot)
 	}
 }
 
@@ -130,7 +134,7 @@ func TestFlushRatio(t *testing.T) {
 	}
 	total := 0
 	for i := uint64(0); i < 64; i++ {
-		if c.Contains(i * 64) {
+		if c.Slot(i*64) >= 0 {
 			total++
 		}
 	}

@@ -5,12 +5,19 @@
 // triggers (invalidations, owner writebacks, upgrades) so the machine model
 // can charge crossbar and memory latency; data movement itself is not
 // simulated.
+//
+// The Directory holds no per-block state of its own: its transitions act on
+// an Entry the caller stores. The machine keeps one Entry per L2 line —
+// the L2 is inclusive, so a block absent from it can only be Invalid.
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // State is a block's directory-visible state.
-type State int
+type State uint8
 
 // MESI states as seen by the directory. Exclusive and Modified both imply a
 // single owner; the directory conservatively tracks Exclusive separately so
@@ -36,10 +43,11 @@ func (s State) String() string {
 	}
 }
 
-type entry struct {
-	state   State
-	sharers uint64 // bitmask of cores holding the line
-	owner   int    // valid when state is Exclusive or Modified
+// Entry is one block's directory state. The zero Entry is Invalid. In
+// Exclusive and Modified the single sharer bit is the owner.
+type Entry struct {
+	Sharers uint64 // bitmask of cores holding the line
+	State   State
 }
 
 // Protocol selects the coherence protocol variant.
@@ -63,25 +71,13 @@ func (p Protocol) String() string {
 	return "MESI"
 }
 
-// Directory tracks coherence state for every block resident anywhere on
-// chip.
-//
-// Entries live in a flat slab indexed through the map rather than as
-// individually heap-allocated values: directory churn (canneal touches
-// hundreds of thousands of blocks per run) would otherwise dominate the
-// simulator's allocation profile. A block that loses its last holder keeps
-// its slab slot, marked Invalid, instead of being deleted from the map:
-// eviction-heavy workloads re-touch the same blocks constantly, and a state
-// write plus a later map hit is far cheaper than a delete/re-insert pair.
-// The live counter maintains TrackedBlocks under this scheme.
+// Directory applies the protocol's transitions to caller-held entries
+// and counts the actions they cause.
 type Directory struct {
 	cores    int
 	protocol Protocol
-	entries  map[uint64]int32 // block → index into slab (possibly Invalid)
-	slab     []entry
-	live     int // entries not in state Invalid
 	// invScratch and holderScratch back the slices returned via
-	// Action.InvalidatedCores and DropBlock; see the aliasing note on Action.
+	// Action.InvalidatedCores and Drop; see the aliasing note on Action.
 	invScratch    []int
 	holderScratch []int
 	stats         Stats
@@ -109,17 +105,11 @@ func NewWithProtocol(cores int, p Protocol) (*Directory, error) {
 	if p != MESI && p != MSI {
 		return nil, fmt.Errorf("coherence: unknown protocol %d", p)
 	}
-	return &Directory{cores: cores, protocol: p, entries: make(map[uint64]int32)}, nil
+	return &Directory{cores: cores, protocol: p}, nil
 }
 
-// Reset drops all tracked blocks and zeroes the counters while keeping the
-// map buckets and slab capacity for reuse by a pooled runner.
-func (d *Directory) Reset() {
-	clear(d.entries)
-	d.slab = d.slab[:0]
-	d.live = 0
-	d.stats = Stats{}
-}
+// Reset zeroes the counters, as in a freshly built directory.
+func (d *Directory) Reset() { d.stats = Stats{} }
 
 // Action describes the coherence work an access caused; the machine model
 // converts these to latency.
@@ -147,99 +137,72 @@ type Action struct {
 	Upgrade bool
 }
 
-func (d *Directory) get(block uint64) *entry {
-	if idx, ok := d.entries[block]; ok {
-		return &d.slab[idx]
-	}
-	d.slab = append(d.slab, entry{state: Invalid, owner: -1})
-	idx := int32(len(d.slab) - 1)
-	d.entries[block] = idx
-	return &d.slab[idx]
-}
-
-// invalidate marks an entry untracked in place, keeping its slab slot and
-// map key for cheap re-acquisition.
-func (d *Directory) invalidate(e *entry) {
-	e.state = Invalid
-	e.sharers = 0
-	e.owner = -1
-	d.live--
-}
-
 func (d *Directory) checkCore(core int) {
 	if core < 0 || core >= d.cores {
 		panic(fmt.Sprintf("coherence: core %d out of range", core))
 	}
 }
 
-// Read records core's read of block and returns the triggered actions.
-func (d *Directory) Read(core int, block uint64) Action {
+// Read records core's read of the block whose state is e and returns the
+// triggered actions.
+func (d *Directory) Read(core int, e *Entry) Action {
 	d.checkCore(core)
-	e := d.get(block)
 	bit := uint64(1) << uint(core)
 	var act Action
-	switch e.state {
+	switch e.State {
 	case Invalid:
 		if d.protocol == MSI {
-			e.state = Shared
-			e.owner = -1
+			e.State = Shared
 		} else {
-			e.state = Exclusive
-			e.owner = core
+			e.State = Exclusive
 		}
-		e.sharers = bit
-		d.live++
+		e.Sharers = bit
 		act.WasMiss = true
 		d.stats.ReadMisses++
 	case Shared:
-		if e.sharers&bit == 0 {
-			e.sharers |= bit
+		if e.Sharers&bit == 0 {
+			e.Sharers |= bit
 			act.WasMiss = true
 			d.stats.ReadMisses++
 		}
 	case Exclusive, Modified:
-		if e.owner == core {
+		if e.Sharers == bit {
 			break // silent hit
 		}
-		if e.state == Modified {
+		if e.State == Modified {
 			act.OwnerWriteback = true
-			act.OwnerCore = e.owner
+			act.OwnerCore = bits.TrailingZeros64(e.Sharers)
 			d.stats.OwnerForwards++
 		}
 		// Owner downgrades to Shared; reader joins.
-		e.state = Shared
-		e.sharers |= bit
-		e.owner = -1
+		e.State = Shared
+		e.Sharers |= bit
 		act.WasMiss = true
 		d.stats.ReadMisses++
 	}
 	return act
 }
 
-// Write records core's write of block and returns the triggered actions.
-func (d *Directory) Write(core int, block uint64) Action {
+// Write records core's write of the block whose state is e and returns the
+// triggered actions.
+func (d *Directory) Write(core int, e *Entry) Action {
 	d.checkCore(core)
-	e := d.get(block)
 	bit := uint64(1) << uint(core)
 	var act Action
-	switch e.state {
+	switch e.State {
 	case Invalid:
-		d.live++
 		act.WasMiss = true
 		d.stats.WriteMisses++
 	case Shared:
 		// Invalidate all other sharers; upgrade if we were one of them.
 		d.invScratch = d.invScratch[:0]
-		for c := 0; c < d.cores; c++ {
-			cb := uint64(1) << uint(c)
-			if c != core && e.sharers&cb != 0 {
-				act.Invalidated++
-				d.invScratch = append(d.invScratch, c)
-				d.stats.Invalidations++
-			}
+		for s := e.Sharers &^ bit; s != 0; s &= s - 1 {
+			act.Invalidated++
+			d.invScratch = append(d.invScratch, bits.TrailingZeros64(s))
+			d.stats.Invalidations++
 		}
 		act.InvalidatedCores = d.invScratch
-		if e.sharers&bit != 0 {
+		if e.Sharers&bit != 0 {
 			act.Upgrade = true
 			d.stats.Upgrades++
 		} else {
@@ -247,127 +210,91 @@ func (d *Directory) Write(core int, block uint64) Action {
 			d.stats.WriteMisses++
 		}
 	case Exclusive, Modified:
-		if e.owner == core {
+		if e.Sharers == bit {
 			break // silent E→M or M hit
 		}
-		if e.state == Modified {
+		owner := bits.TrailingZeros64(e.Sharers)
+		if e.State == Modified {
 			act.OwnerWriteback = true
-			act.OwnerCore = e.owner
+			act.OwnerCore = owner
 			d.stats.OwnerForwards++
 		}
 		act.Invalidated++
-		d.invScratch = append(d.invScratch[:0], e.owner)
+		d.invScratch = append(d.invScratch[:0], owner)
 		act.InvalidatedCores = d.invScratch
 		d.stats.Invalidations++
 		act.WasMiss = true
 		d.stats.WriteMisses++
 	}
-	e.state = Modified
-	e.owner = core
-	e.sharers = bit
+	*e = Entry{Sharers: bit, State: Modified}
 	return act
 }
 
-// Evict removes core's copy of block from the directory (L1 eviction or
+// Evict removes core's copy of the block whose state is e (L1 eviction or
 // back-invalidation). It returns whether the evicted copy was Modified.
-func (d *Directory) Evict(core int, block uint64) (wasModified bool) {
+func (d *Directory) Evict(core int, e *Entry) (wasModified bool) {
 	d.checkCore(core)
-	idx, ok := d.entries[block]
-	if !ok {
-		return false
-	}
-	e := &d.slab[idx]
 	bit := uint64(1) << uint(core)
-	switch e.state {
+	switch e.State {
 	case Shared:
-		e.sharers &^= bit
-		if e.sharers == 0 {
-			d.invalidate(e)
+		e.Sharers &^= bit
+		if e.Sharers == 0 {
+			*e = Entry{}
 		}
 	case Exclusive, Modified:
-		if e.owner == core {
-			wasModified = e.state == Modified
-			d.invalidate(e)
+		if e.Sharers == bit {
+			wasModified = e.State == Modified
+			*e = Entry{}
 		}
 	}
 	return wasModified
 }
 
-// DropBlock removes every core's copy (L2 eviction with inclusion). It
-// returns the cores that held the line so the machine can back-invalidate
-// their L1s, and whether a modified copy existed. The returned slice aliases
-// a scratch buffer valid until the next DropBlock call.
-func (d *Directory) DropBlock(block uint64) (holders []int, hadModified bool) {
-	idx, ok := d.entries[block]
-	if !ok || d.slab[idx].state == Invalid {
+// Drop removes every core's copy of the block whose state is e (L2
+// eviction with inclusion). It returns the cores that held the line so the
+// machine can back-invalidate their L1s, and whether a modified copy
+// existed. The returned slice aliases a scratch buffer valid until the next
+// Drop call.
+func (d *Directory) Drop(e *Entry) (holders []int, hadModified bool) {
+	if e.State == Invalid {
 		return nil, false
 	}
-	e := &d.slab[idx]
 	d.holderScratch = d.holderScratch[:0]
-	for c := 0; c < d.cores; c++ {
-		if e.sharers&(uint64(1)<<uint(c)) != 0 {
-			d.holderScratch = append(d.holderScratch, c)
-		}
+	for s := e.Sharers; s != 0; s &= s - 1 {
+		d.holderScratch = append(d.holderScratch, bits.TrailingZeros64(s))
 	}
-	hadModified = e.state == Modified
-	d.invalidate(e)
+	hadModified = e.State == Modified
+	*e = Entry{}
 	return d.holderScratch, hadModified
 }
 
-// StateOf returns the directory state of a block and its holders, for tests
-// and invariant checks.
-func (d *Directory) StateOf(block uint64) (State, []int) {
-	idx, ok := d.entries[block]
-	if !ok || d.slab[idx].state == Invalid {
-		return Invalid, nil
+// CheckInvariants verifies the MESI safety properties of one entry:
+// Modified/Exclusive imply exactly one holder (the owner), Shared implies
+// at least one holder, Invalid implies none, and every holder is a core of
+// this directory. It returns the violation, if any.
+func (d *Directory) CheckInvariants(e Entry) error {
+	if d.cores < 64 && e.Sharers>>uint(d.cores) != 0 {
+		return fmt.Errorf("coherence: sharers %#x name a core outside 0..%d", e.Sharers, d.cores-1)
 	}
-	e := &d.slab[idx]
-	var holders []int
-	for c := 0; c < d.cores; c++ {
-		if e.sharers&(uint64(1)<<uint(c)) != 0 {
-			holders = append(holders, c)
+	holders := bits.OnesCount64(e.Sharers)
+	switch e.State {
+	case Modified, Exclusive:
+		if holders != 1 {
+			return fmt.Errorf("coherence: %v with %d holders", e.State, holders)
 		}
-	}
-	return e.state, holders
-}
-
-// CheckInvariants verifies the MESI safety properties over every tracked
-// block: Modified/Exclusive imply exactly one holder which is the owner,
-// and Shared implies at least one holder. It returns the first violation.
-func (d *Directory) CheckInvariants() error {
-	for block, idx := range d.entries {
-		e := &d.slab[idx]
-		holders := 0
-		for c := 0; c < d.cores; c++ {
-			if e.sharers&(uint64(1)<<uint(c)) != 0 {
-				holders++
-			}
+	case Shared:
+		if holders == 0 {
+			return fmt.Errorf("coherence: Shared with no holders")
 		}
-		switch e.state {
-		case Modified, Exclusive:
-			if holders != 1 {
-				return fmt.Errorf("coherence: block %#x in %v with %d holders", block, e.state, holders)
-			}
-			if e.owner < 0 || e.sharers != uint64(1)<<uint(e.owner) {
-				return fmt.Errorf("coherence: block %#x owner/sharers mismatch", block)
-			}
-		case Shared:
-			if holders == 0 {
-				return fmt.Errorf("coherence: block %#x Shared with no holders", block)
-			}
-		case Invalid:
-			// Untracked slot retained for reuse: must hold no sharers.
-			if holders != 0 {
-				return fmt.Errorf("coherence: block %#x Invalid with %d holders", block, holders)
-			}
+	case Invalid:
+		if holders != 0 {
+			return fmt.Errorf("coherence: Invalid with %d holders", holders)
 		}
+	default:
+		return fmt.Errorf("coherence: unknown state %d", e.State)
 	}
 	return nil
 }
 
 // Stats returns a copy of the action counters.
 func (d *Directory) Stats() Stats { return d.stats }
-
-// TrackedBlocks returns the number of blocks with directory state (slots
-// retained in state Invalid for reuse are not counted).
-func (d *Directory) TrackedBlocks() int { return d.live }

@@ -1,19 +1,84 @@
 package coherence
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/randx"
 )
 
-func mustNew(t *testing.T, cores int) *Directory {
+// tracked holds a block → Entry table beside a Directory, the way the
+// machine holds one Entry per L2 line, and exposes the per-block API the
+// tests are phrased in.
+type tracked struct {
+	*Directory
+	blocks map[uint64]*Entry
+}
+
+func track(d *Directory) *tracked { return &tracked{Directory: d, blocks: map[uint64]*Entry{}} }
+
+func (tr *tracked) entry(block uint64) *Entry {
+	e, ok := tr.blocks[block]
+	if !ok {
+		e = &Entry{}
+		tr.blocks[block] = e
+	}
+	return e
+}
+
+func (tr *tracked) Read(core int, block uint64) Action {
+	return tr.Directory.Read(core, tr.entry(block))
+}
+func (tr *tracked) Write(core int, block uint64) Action {
+	return tr.Directory.Write(core, tr.entry(block))
+}
+func (tr *tracked) Evict(core int, block uint64) bool {
+	return tr.Directory.Evict(core, tr.entry(block))
+}
+
+func (tr *tracked) DropBlock(block uint64) ([]int, bool) { return tr.Directory.Drop(tr.entry(block)) }
+
+// StateOf returns the block's state and its holders in ascending order.
+func (tr *tracked) StateOf(block uint64) (State, []int) {
+	e := tr.entry(block)
+	var holders []int
+	for c := 0; c < 64; c++ {
+		if e.Sharers&(1<<uint(c)) != 0 {
+			holders = append(holders, c)
+		}
+	}
+	return e.State, holders
+}
+
+// TrackedBlocks counts the blocks with directory state.
+func (tr *tracked) TrackedBlocks() int {
+	n := 0
+	for _, e := range tr.blocks {
+		if e.State != Invalid {
+			n++
+		}
+	}
+	return n
+}
+
+// CheckInvariants checks every block's entry.
+func (tr *tracked) CheckInvariants() error {
+	for block, e := range tr.blocks {
+		if err := tr.Directory.CheckInvariants(*e); err != nil {
+			return fmt.Errorf("block %#x: %w", block, err)
+		}
+	}
+	return nil
+}
+
+func mustNew(t *testing.T, cores int) *tracked {
 	t.Helper()
 	d, err := New(cores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d
+	return track(d)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -171,21 +236,22 @@ func TestInvariantsUnderRandomTrafficProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		tr := track(d)
 		r := randx.New(seed)
 		for i := 0; i < 3000; i++ {
 			core := r.Intn(4)
 			block := uint64(r.Intn(32)) * 64 // small block pool to force sharing
 			switch r.Intn(4) {
 			case 0:
-				d.Read(core, block)
+				tr.Read(core, block)
 			case 1:
-				d.Write(core, block)
+				tr.Write(core, block)
 			case 2:
-				d.Evict(core, block)
+				tr.Evict(core, block)
 			case 3:
-				d.DropBlock(block)
+				tr.DropBlock(block)
 			}
-			if d.CheckInvariants() != nil {
+			if tr.CheckInvariants() != nil {
 				return false
 			}
 		}
@@ -207,10 +273,11 @@ func TestCheckCorePanics(t *testing.T) {
 }
 
 func TestMSIProtocolNoExclusive(t *testing.T) {
-	d, err := NewWithProtocol(2, MSI)
+	msi, err := NewWithProtocol(2, MSI)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := track(msi)
 	d.Read(0, 0x100)
 	if st, holders := d.StateOf(0x100); st != Shared || len(holders) != 1 {
 		t.Errorf("MSI sole read should be Shared: %v %v", st, holders)
@@ -224,7 +291,8 @@ func TestMSIProtocolNoExclusive(t *testing.T) {
 		t.Errorf("upgrade count %d", d.Stats().Upgrades)
 	}
 	// The same sequence in MESI is silent.
-	m, _ := New(2)
+	mesi, _ := New(2)
+	m := track(mesi)
 	m.Read(0, 0x100)
 	actMESI := m.Write(0, 0x100)
 	if actMESI.Upgrade || actMESI.WasMiss {
@@ -239,10 +307,11 @@ func TestMSIProtocolNoExclusive(t *testing.T) {
 }
 
 func TestMSIInvariantsUnderTraffic(t *testing.T) {
-	d, err := NewWithProtocol(4, MSI)
+	msi, err := NewWithProtocol(4, MSI)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := track(msi)
 	r := randx.New(77)
 	for i := 0; i < 2000; i++ {
 		core := r.Intn(4)
@@ -257,6 +326,27 @@ func TestMSIInvariantsUnderTraffic(t *testing.T) {
 		}
 		if err := d.CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+func TestCheckInvariantsRejectsBadEntries(t *testing.T) {
+	d := mustNew(t, 4)
+	for _, e := range []Entry{
+		{State: Modified, Sharers: 0b11},
+		{State: Exclusive},
+		{State: Shared},
+		{State: Invalid, Sharers: 0b1},
+		{State: Shared, Sharers: 1 << 4}, // core 4 of a 4-core directory
+		{State: State(7), Sharers: 0b1},
+	} {
+		if d.Directory.CheckInvariants(e) == nil {
+			t.Errorf("entry %+v should violate the invariants", e)
+		}
+	}
+	for _, e := range []Entry{{}, {State: Shared, Sharers: 0b1010}, {State: Modified, Sharers: 0b1000}} {
+		if err := d.Directory.CheckInvariants(e); err != nil {
+			t.Errorf("entry %+v: %v", e, err)
 		}
 	}
 }

@@ -67,23 +67,15 @@ func (b *BranchPredictor) Reset() {
 }
 
 // TLB is a fully associative, true-LRU translation lookaside buffer over
-// fixed-size pages. The recency order is an intrusive doubly-linked list
-// over preallocated nodes, so both hits and evictions are O(1) — the TLB
-// sits on every memory access of the simulator, so this matters.
+// fixed-size pages. Its entries are one recency-ordered array of page
+// numbers, most recently used first: a hit moves the page to the front, a
+// miss inserts it there and drops the last (least recently used) page when
+// the TLB is full. At the simulated 64 entries a scan of one small array
+// beats a map plus a linked list, on hits and on misses alike.
 type TLB struct {
-	entries  int
 	pageBits uint
-	slots    map[uint64]int // page → node index
-	nodes    []tlbNode
-	head     int // most recently used, -1 when empty
-	tail     int // least recently used, -1 when empty
-	free     []int
+	pages    []uint64 // resident pages, MRU first; cap is the entry count
 	stats    TLBStats
-}
-
-type tlbNode struct {
-	page       uint64
-	prev, next int
 }
 
 // TLBStats counts translation outcomes.
@@ -105,48 +97,7 @@ func NewTLB(entries int, pageSize int) (*TLB, error) {
 	for 1<<bits < pageSize {
 		bits++
 	}
-	t := &TLB{
-		entries:  entries,
-		pageBits: bits,
-		slots:    make(map[uint64]int, entries),
-		nodes:    make([]tlbNode, entries),
-		head:     -1,
-		tail:     -1,
-	}
-	t.free = make([]int, entries)
-	for i := range t.free {
-		t.free[i] = i
-	}
-	return t, nil
-}
-
-// unlink removes node i from the recency list.
-func (t *TLB) unlink(i int) {
-	n := &t.nodes[i]
-	if n.prev >= 0 {
-		t.nodes[n.prev].next = n.next
-	} else {
-		t.head = n.next
-	}
-	if n.next >= 0 {
-		t.nodes[n.next].prev = n.prev
-	} else {
-		t.tail = n.prev
-	}
-}
-
-// pushFront makes node i the most recently used.
-func (t *TLB) pushFront(i int) {
-	n := &t.nodes[i]
-	n.prev = -1
-	n.next = t.head
-	if t.head >= 0 {
-		t.nodes[t.head].prev = i
-	}
-	t.head = i
-	if t.tail < 0 {
-		t.tail = i
-	}
+	return &TLB{pageBits: bits, pages: make([]uint64, 0, entries)}, nil
 }
 
 // Lookup translates addr, returning whether it missed. On a miss the page
@@ -154,38 +105,24 @@ func (t *TLB) pushFront(i int) {
 func (t *TLB) Lookup(addr uint64) (miss bool) {
 	page := addr >> t.pageBits
 	t.stats.Lookups++
-	if i, ok := t.slots[page]; ok {
-		if t.head != i {
-			t.unlink(i)
-			t.pushFront(i)
+	for i, p := range t.pages {
+		if p == page {
+			copy(t.pages[1:i+1], t.pages[:i])
+			t.pages[0] = page
+			return false
 		}
-		return false
 	}
 	t.stats.Misses++
-	var i int
-	if len(t.free) > 0 {
-		i = t.free[len(t.free)-1]
-		t.free = t.free[:len(t.free)-1]
-	} else {
-		i = t.tail
-		t.unlink(i)
-		delete(t.slots, t.nodes[i].page)
+	if len(t.pages) < cap(t.pages) {
+		t.pages = t.pages[:len(t.pages)+1]
 	}
-	t.nodes[i].page = page
-	t.slots[page] = i
-	t.pushFront(i)
+	copy(t.pages[1:], t.pages) // shifts out the LRU page when full
+	t.pages[0] = page
 	return true
 }
 
 // Flush empties the TLB (context switch).
-func (t *TLB) Flush() {
-	clear(t.slots)
-	t.head, t.tail = -1, -1
-	t.free = t.free[:0]
-	for i := 0; i < t.entries; i++ {
-		t.free = append(t.free, i)
-	}
-}
+func (t *TLB) Flush() { t.pages = t.pages[:0] }
 
 // Stats returns a copy of the counters.
 func (t *TLB) Stats() TLBStats { return t.stats }
@@ -198,7 +135,7 @@ func (t *TLB) Reset() {
 }
 
 // Resident returns the number of valid entries.
-func (t *TLB) Resident() int { return len(t.slots) }
+func (t *TLB) Resident() int { return len(t.pages) }
 
 // Gshare is a global-history branch predictor: the PC hash is XORed with a
 // shift register of recent outcomes before indexing the counter table,

@@ -116,7 +116,7 @@ func TestTLBMissRateSmallWorkingSet(t *testing.T) {
 	}
 }
 
-// Reference model: the O(1) linked-list TLB must behave identically to a
+// Reference model: the recency-array TLB must behave identically to a
 // naive clock-scan LRU over arbitrary access strings.
 type refTLB struct {
 	entries int
@@ -143,29 +143,35 @@ func (t *refTLB) lookup(page uint64) bool {
 	return true
 }
 
+// The small case forces constant eviction; the second is the simulated
+// geometry (DefaultConfig's 64 entries) over a page pool that overflows it.
 func TestTLBMatchesReferenceModel(t *testing.T) {
-	for seed := uint64(0); seed < 20; seed++ {
-		tlb, err := NewTLB(8, 4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := &refTLB{entries: 8, slots: map[uint64]uint64{}}
-		r := randx.New(seed)
-		for i := 0; i < 3000; i++ {
-			if r.Bernoulli(0.01) {
-				tlb.Flush()
-				ref.slots = map[uint64]uint64{}
-				continue
+	for _, tc := range []struct{ entries, pages int }{{8, 20}, {64, 100}} {
+		for seed := uint64(0); seed < 20; seed++ {
+			tlb, err := NewTLB(tc.entries, 4096)
+			if err != nil {
+				t.Fatal(err)
 			}
-			addr := uint64(r.Intn(20)) * 4096
-			got := tlb.Lookup(addr)
-			want := ref.lookup(addr >> 12)
-			if got != want {
-				t.Fatalf("seed %d access %d: miss=%v, reference says %v", seed, i, got, want)
+			ref := &refTLB{entries: tc.entries, slots: map[uint64]uint64{}}
+			r := randx.New(seed)
+			for i := 0; i < 3000; i++ {
+				if r.Bernoulli(0.01) {
+					tlb.Flush()
+					ref.slots = map[uint64]uint64{}
+					continue
+				}
+				addr := uint64(r.Intn(tc.pages)) * 4096
+				got := tlb.Lookup(addr)
+				want := ref.lookup(addr >> 12)
+				if got != want {
+					t.Fatalf("%d entries/%d pages seed %d access %d: miss=%v, reference says %v",
+						tc.entries, tc.pages, seed, i, got, want)
+				}
 			}
-		}
-		if tlb.Resident() != len(ref.slots) {
-			t.Fatalf("occupancy diverged: %d vs %d", tlb.Resident(), len(ref.slots))
+			if tlb.Resident() != len(ref.slots) {
+				t.Fatalf("%d entries/%d pages: occupancy diverged: %d vs %d",
+					tc.entries, tc.pages, tlb.Resident(), len(ref.slots))
+			}
 		}
 	}
 }

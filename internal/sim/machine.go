@@ -126,14 +126,19 @@ type machine struct {
 	cfg  Config
 	prog *workload.Program
 
-	l1i  []*cache.Cache
-	l1d  []*cache.Cache
-	l2   *cache.Cache
-	dir  *coherence.Directory
-	xbar *noc.Crossbar
-	dram *mem.DRAM
-	bp   []cpu.Predictor
-	tlb  []*cpu.TLB
+	l1i []*cache.Cache
+	l1d []*cache.Cache
+	l2  *cache.Cache
+	dir *coherence.Directory
+	// dirSharers and dirState hold each L2 line's directory entry, indexed
+	// by the line's slot. The L2 is inclusive and drops a block's entry
+	// when it evicts the block, so a block not in the L2 is Invalid.
+	dirSharers []uint64
+	dirState   []coherence.State
+	xbar       *noc.Crossbar
+	dram       *mem.DRAM
+	bp         []cpu.Predictor
+	tlb        []*cpu.TLB
 
 	cores    []coreCtx
 	threads  []threadCtx
@@ -282,6 +287,8 @@ func (m *machine) build(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	m.dirSharers = make([]uint64, m.l2.Lines())
+	m.dirState = make([]coherence.State, m.l2.Lines())
 	m.xbar, err = noc.New(cfg.Cores, cfg.L2Banks, cfg.NocHopLatency, cfg.LinkBytes)
 	if err != nil {
 		return err
@@ -320,6 +327,8 @@ func (m *machine) initRun(prog *workload.Program, rng *randx.Rand) error {
 	}
 	m.l2.Reset()
 	m.dir.Reset()
+	clear(m.dirSharers)
+	clear(m.dirState)
 	m.xbar.Reset()
 	m.dram.Reset(rng.Split(12))
 
@@ -749,7 +758,7 @@ func (m *machine) dispatch(core *coreCtx, now uint64) {
 		const kernelBase = 0x8000_0000
 		for i := 0; i < m.cfg.CtxSwitchKernelBlocks; i++ {
 			blk := kernelBase + (m.kernelPtr % (512 << 10))
-			if !m.l2Access(blk, i%4 == 0) {
+			if _, hit := m.l2Access(blk, i%4 == 0); !hit {
 				m.dram.Access(blk, now)
 			}
 			m.kernelPtr += 64
@@ -786,17 +795,30 @@ func (m *machine) dilate(coreID int, d uint64) uint64 {
 }
 
 // l2Access runs an L2 lookup/insert, keeping the directory and the private
-// L1s consistent with the L2's inclusion property: a displaced block is
-// dropped from the directory and back-invalidated everywhere.
-func (m *machine) l2Access(block uint64, write bool) (hit bool) {
+// L1s consistent with the L2's inclusion property: a displaced block's
+// directory entry is dropped and the block back-invalidated everywhere. It
+// returns the slot now holding block.
+func (m *machine) l2Access(block uint64, write bool) (slot int, hit bool) {
 	res := m.l2.Access(block, write)
 	if res.Evicted {
-		holders, _ := m.dir.DropBlock(res.EvictedAddr)
+		e := m.dirEntry(res.Slot)
+		holders, _ := m.dir.Drop(&e)
+		m.setDirEntry(res.Slot, e)
 		for _, h := range holders {
 			m.l1d[h].Invalidate(res.EvictedAddr)
 		}
 	}
-	return res.Hit
+	return res.Slot, res.Hit
+}
+
+// dirEntry returns the directory entry of the block in L2 slot.
+func (m *machine) dirEntry(slot int) coherence.Entry {
+	return coherence.Entry{Sharers: m.dirSharers[slot], State: m.dirState[slot]}
+}
+
+// setDirEntry stores the directory entry of the block in L2 slot.
+func (m *machine) setDirEntry(slot int, e coherence.Entry) {
+	m.dirSharers[slot], m.dirState[slot] = e.Sharers, e.State
 }
 
 // ifetch charges the instruction-fetch path: L1I hit is free (overlapped),
@@ -810,7 +832,7 @@ func (m *machine) ifetch(coreID int, pc uint64, now uint64) uint64 {
 	bank := int((pc >> 6) % uint64(m.cfg.L2Banks))
 	done := m.xbar.Transfer(coreID, bank, now, 16)
 	d := done - now
-	if m.l2Access(m.l2.BlockAddr(pc), false) {
+	if _, hit := m.l2Access(m.l2.BlockAddr(pc), false); hit {
 		return d + m.cfg.L2Latency
 	}
 	memDone := m.dram.Access(m.l2.BlockAddr(pc), now+d+m.cfg.L2Latency)
@@ -834,21 +856,39 @@ func (m *machine) dataAccess(coreID int, addr uint64, write bool, now uint64) ui
 
 	res := l1.Access(addr, write)
 
-	// Keep the directory in sync with L1 displacement.
+	// Keep the directory in sync with L1 displacement. By inclusion the
+	// victim is in the L2, which holds its entry.
 	if res.Evicted {
-		if m.dir.Evict(coreID, res.EvictedAddr) {
-			// Dirty displacement writes back into the L2.
-			m.l2Access(res.EvictedAddr, true)
+		if vs := m.l2.Slot(res.EvictedAddr); vs >= 0 {
+			e := m.dirEntry(vs)
+			wasModified := m.dir.Evict(coreID, &e)
+			m.setDirEntry(vs, e)
+			if wasModified {
+				// Dirty displacement writes back into the L2.
+				m.l2Access(res.EvictedAddr, true)
+			}
 		}
 	}
 
 	// Consult the directory. Even on an L1 hit a write may need to
-	// invalidate remote sharers (S→M upgrade).
+	// invalidate remote sharers (S→M upgrade). A block outside the L2 is
+	// Invalid: its entry stays pending here until the miss path below
+	// fills the block into an L2 slot.
+	var e coherence.Entry
+	slot := m.l2.Slot(block)
+	if slot >= 0 {
+		e = m.dirEntry(slot)
+	} else if res.Hit {
+		panic(fmt.Sprintf("sim: core %d hit block %#x in its L1 but the inclusive L2 lacks it", coreID, block))
+	}
 	var act coherence.Action
 	if write {
-		act = m.dir.Write(coreID, block)
+		act = m.dir.Write(coreID, &e)
 	} else {
-		act = m.dir.Read(coreID, block)
+		act = m.dir.Read(coreID, &e)
+	}
+	if slot >= 0 {
+		m.setDirEntry(slot, e)
 	}
 	for _, victim := range act.InvalidatedCores {
 		m.l1d[victim].Invalidate(block)
@@ -874,7 +914,10 @@ func (m *machine) dataAccess(coreID int, addr uint64, write bool, now uint64) ui
 	reqDone := m.xbar.Transfer(coreID, bank, now+d, 16)
 	d = reqDone - now
 
-	l2hit := m.l2Access(block, write)
+	filled, l2hit := m.l2Access(block, write)
+	if slot < 0 {
+		m.setDirEntry(filled, e)
+	}
 	d += cfg.L2Latency
 	if !l2hit {
 		memDone := m.dram.Access(block, now+d)
@@ -886,7 +929,7 @@ func (m *machine) dataAccess(coreID int, addr uint64, write bool, now uint64) ui
 	// hit for a future access.
 	if cfg.PrefetchNextLine {
 		next := block + uint64(cfg.BlockSize)
-		if !m.l2Access(next, false) {
+		if _, hit := m.l2Access(next, false); !hit {
 			m.dram.Access(next, now+d)
 		}
 		m.prefetches++

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/randx"
+	"repro/internal/sim/coherence"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -199,9 +200,10 @@ func TestTraceSignalsComplete(t *testing.T) {
 	}
 }
 
-// After a full run the MESI directory must satisfy its safety invariants,
-// every L1-resident data block must be directory-tracked for that core,
-// and every directory-tracked block must be L2-resident (inclusion).
+// After a full run every L2 line's directory entry must satisfy the MESI
+// safety invariants, no invalid L2 line may carry directory state, and
+// every L1-resident data block must be L2-resident (inclusion) and
+// directory-tracked for that core.
 func TestEndOfRunCoherenceInvariants(t *testing.T) {
 	for _, name := range []string{"ferret", "canneal", "streamcluster"} {
 		p, err := workload.ByName(name)
@@ -216,27 +218,38 @@ func TestEndOfRunCoherenceInvariants(t *testing.T) {
 		if err := m.run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := m.dir.CheckInvariants(); err != nil {
-			t.Errorf("%s: %v", name, err)
+		for slot := 0; slot < m.l2.Lines(); slot++ {
+			blk, valid := m.l2.Block(slot)
+			e := m.dirEntry(slot)
+			if !valid {
+				if e != (coherence.Entry{}) {
+					t.Errorf("%s: invalid L2 slot %d carries directory state %+v", name, slot, e)
+				}
+				continue
+			}
+			if err := m.dir.CheckInvariants(e); err != nil {
+				t.Errorf("%s: block %#x: %v", name, blk, err)
+			}
 		}
 		for c := 0; c < m.cfg.Cores; c++ {
-			for _, blk := range m.l1d[c].Blocks() {
-				state, holders := m.dir.StateOf(blk)
-				if state.String() == "I" {
+			l1 := m.l1d[c]
+			for i := 0; i < l1.Lines(); i++ {
+				blk, valid := l1.Block(i)
+				if !valid {
+					continue
+				}
+				slot := m.l2.Slot(blk)
+				if slot < 0 {
+					t.Errorf("%s: inclusion violated for block %#x", name, blk)
+					continue
+				}
+				e := m.dirEntry(slot)
+				if e.State == coherence.Invalid {
 					t.Errorf("%s: core %d holds untracked block %#x", name, c, blk)
 					continue
 				}
-				found := false
-				for _, h := range holders {
-					if h == c {
-						found = true
-					}
-				}
-				if !found {
+				if e.Sharers&(1<<uint(c)) == 0 {
 					t.Errorf("%s: core %d holds block %#x not listed in directory", name, c, blk)
-				}
-				if !m.l2.Contains(blk) {
-					t.Errorf("%s: inclusion violated for block %#x", name, blk)
 				}
 			}
 		}

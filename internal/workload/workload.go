@@ -196,24 +196,29 @@ func (reg *region) addr() uint64 {
 // emitting a randomized mix of branches, compute, private and shared
 // accesses, and synchronization according to its parameters. It implements
 // the per-iteration structure shared by all data-parallel profiles.
+//
+// Every iteration refills the same queue buffer from the start, so a
+// generator sized by its constructor allocates nothing while it runs.
 type loopGen struct {
 	r     *randx.Rand
 	iters int
 	iter  int
-	queue []Op // ops pending for the current iteration
+	queue []Op // the current iteration's ops; queue[head:] are pending
+	head  int
 	emit  func(g *loopGen)
 }
 
 func (g *loopGen) Next() (Op, bool) {
-	for len(g.queue) == 0 {
+	for g.head == len(g.queue) {
 		if g.iter >= g.iters {
 			return Op{}, false
 		}
 		g.iter++
+		g.queue, g.head = g.queue[:0], 0
 		g.emit(g)
 	}
-	op := g.queue[0]
-	g.queue = g.queue[1:]
+	op := g.queue[g.head]
+	g.head++
 	return op, true
 }
 
@@ -241,7 +246,10 @@ type dataParallelParams struct {
 }
 
 func newDataParallelGen(p dataParallelParams, r *randx.Rand) *loopGen {
-	g := &loopGen{r: r, iters: p.iters}
+	// Branch cluster, compute burst, accesses, then the largest optional
+	// tail: lock, critical-section accesses, unlock and barrier.
+	perIter := p.branches + 1 + p.memOps + 2 + p.lockHeldOps + 1
+	g := &loopGen{r: r, iters: p.iters, queue: make([]Op, 0, perIter)}
 	g.emit = func(g *loopGen) {
 		// Branch cluster at the loop head.
 		for b := 0; b < p.branches; b++ {
@@ -310,7 +318,9 @@ type pipelineStageParams struct {
 }
 
 func newPipelineStageGen(p pipelineStageParams, r *randx.Rand) *loopGen {
-	g := &loopGen{r: r, iters: p.items}
+	// Consume, branch cluster, compute burst, accesses, produce.
+	perIter := 1 + p.branches + 1 + p.memOps + 1
+	g := &loopGen{r: r, iters: p.items, queue: make([]Op, 0, perIter)}
 	g.emit = func(g *loopGen) {
 		if p.inQueue >= 0 {
 			g.push(Op{Kind: OpConsume, ID: p.inQueue})
