@@ -21,8 +21,6 @@ import (
 	"repro/internal/faultx"
 	"repro/internal/manifest"
 	"repro/internal/obs"
-	"repro/internal/popcache"
-	"repro/internal/sampling"
 )
 
 func main() {
@@ -37,9 +35,6 @@ func run(args []string, w io.Writer) error {
 	path := fs.String("manifest", "", "manifest JSON file")
 	out := fs.String("out", "campaign-out", "output directory for populations and the report")
 	parallel := fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	workers := fs.String("workers", "", "comma-separated spaworker addresses (host:port,...) to distribute simulations across; results are byte-identical to a local run")
-	popcacheDir := fs.String("popcache", "", "content-addressed population cache directory shared across campaigns; hits are byte-identical to re-simulating")
-	samplingDesign := fs.String("sampling", "", "default variance-reduction design for adaptive analyses: plain, stratified or rss (per-analysis manifest settings win)")
 	chaosSeed := fs.Uint64("chaos-seed", 0, "DEV ONLY: inject deterministic transport faults on -workers connections, seeded by this value (0 disables)")
 	chaosProfile := fs.String("chaos-profile", "all", "DEV ONLY: comma-separated fault scenarios for -chaos-seed (delay,stall,close,partial,dup,refuse or all)")
 	initTpl := fs.Bool("init", false, "print a template manifest and exit")
@@ -47,6 +42,9 @@ func run(args []string, w io.Writer) error {
 	version := fs.Bool("version", false, "print build information and exit")
 	var of obs.Flags
 	of.Register(fs)
+	var stack manifest.Flags
+	stack.Register(fs)
+	stack.RegisterSampling(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -86,12 +84,11 @@ func run(args []string, w io.Writer) error {
 	case o.Progress == nil:
 		o.Progress = obs.NewProgress(w, "runs", 0)
 	}
-	if _, err := sampling.ParseDesign(*samplingDesign); err != nil {
+	runner := &manifest.Runner{OutDir: *out, Parallelism: *parallel, Obs: o}
+	if err := stack.Apply(runner); err != nil {
 		closeObs()
 		return err
 	}
-	runner := &manifest.Runner{OutDir: *out, Parallelism: *parallel, Obs: o, Workers: dist.SplitAddrs(*workers),
-		Sampling: *samplingDesign}
 	// /statusz reports the campaign and the coordinator's live chunk and
 	// per-worker state for the duration of the run.
 	o.SetStatus(func() any {
@@ -101,9 +98,6 @@ func run(args []string, w io.Writer) error {
 			Coord    dist.CoordinatorStatus `json:"coordinator"`
 		}{m.Name, runner.Workers, runner.Coordinator().Status()}
 	})
-	if *popcacheDir != "" {
-		runner.PopCache = popcache.New(*popcacheDir, 0)
-	}
 	if *chaosSeed != 0 {
 		prof, err := faultx.ParseProfile(*chaosProfile)
 		if err != nil {

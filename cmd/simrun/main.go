@@ -66,20 +66,9 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
-	var cfg sim.Config
-	switch *variant {
-	case "default":
-		cfg = sim.DefaultConfig()
-	case "hardware":
-		cfg = sim.HardwareLikeConfig()
-	case "l2half":
-		cfg = sim.DefaultConfig()
-		cfg.L2Size = 512 * 1024
-	case "l2double":
-		cfg = sim.DefaultConfig()
-		cfg.L2Size = 1024 * 1024
-	default:
-		return fmt.Errorf("unknown variant %q", *variant)
+	cfg, err := sim.VariantConfig(*variant)
+	if err != nil {
+		return err
 	}
 	if *l2kb > 0 {
 		cfg.L2Size = *l2kb * 1024

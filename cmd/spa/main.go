@@ -24,6 +24,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -136,14 +137,14 @@ type dataFlags struct {
 	gem5   string
 	metric string
 	// simulator-backed collection (-sim): measurements come from fresh
-	// seeded executions, optionally distributed across spaworkers.
-	sim      string
-	variant  string
-	runs     int
-	scale    float64
-	simSeed  uint64
-	workers  string
-	popcache string
+	// seeded executions, optionally distributed across spaworkers and
+	// cached, through the same manifest.Runner stack campaigns use.
+	sim     string
+	variant string
+	runs    int
+	scale   float64
+	simSeed uint64
+	stack   manifest.Flags
 }
 
 func (d *dataFlags) register(fs *flag.FlagSet) {
@@ -156,29 +157,32 @@ func (d *dataFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&d.runs, "runs", 100, "executions to simulate with -sim")
 	fs.Float64Var(&d.scale, "scale", 0.5, "workload scale with -sim")
 	fs.Uint64Var(&d.simSeed, "simseed", 1, "base seed with -sim (run i uses simseed+i)")
-	fs.StringVar(&d.workers, "workers", "", "comma-separated spaworker addresses to distribute -sim runs across (byte-identical to local)")
-	fs.StringVar(&d.popcache, "popcache", "", "content-addressed population cache directory for -sim; hits are byte-identical to re-simulating")
+	d.stack.Register(fs)
+}
+
+// simJob resolves -sim, -variant and -scale into the job to simulate and
+// builds the runner that simulates it.
+func (d *dataFlags) simJob() (dist.Job, *manifest.Runner, error) {
+	r := &manifest.Runner{Obs: telemetry}
+	if err := d.stack.Apply(r); err != nil {
+		return dist.Job{}, nil, err
+	}
+	cfg, err := manifest.Entry{Benchmark: d.sim, Variant: d.variant}.Config()
+	if err != nil {
+		return dist.Job{}, nil, err
+	}
+	return dist.Job{Benchmark: d.sim, Config: cfg, Scale: d.scale}, r, nil
 }
 
 func (d *dataFlags) load() ([]float64, error) {
 	switch {
 	case d.sim != "":
-		e := manifest.Entry{Benchmark: d.sim, Variant: d.variant}
-		cfg, err := e.Config()
+		job, r, err := d.simJob()
 		if err != nil {
 			return nil, err
 		}
-		var cache *popcache.Cache
-		if d.popcache != "" {
-			cache = popcache.New(d.popcache, 0)
-		}
-		pop, _, err := cache.GetOrGenerate(
-			popcache.Key{Benchmark: d.sim, Config: cfg, Scale: d.scale, BaseSeed: d.simSeed, Runs: d.runs},
-			func() (*population.Population, error) {
-				coord := &dist.Coordinator{Workers: dist.SplitAddrs(d.workers), Obs: telemetry}
-				return coord.GeneratePopulation(d.sim, cfg, d.scale, d.runs, d.simSeed,
-					population.ObserverHooks(telemetry, d.sim))
-			})
+		k := popcache.Key{Benchmark: job.Benchmark, Config: job.Config, Scale: job.Scale, BaseSeed: d.simSeed, Runs: d.runs}
+		pop, _, err := r.Population(context.Background(), job.Benchmark, k)
 		if err != nil {
 			return nil, err
 		}
@@ -263,13 +267,13 @@ func runCI(args []string) error {
 	dir := fs.String("direction", "atmost", "property direction: atmost (metric ≤ v) or atleast (metric ≥ v)")
 	sweep := fs.Bool("sweep", false, "use the paper's granularity search instead of the exact construction")
 	gran := fs.Float64("granularity", 0, "sweep step (0 = auto)")
-	samplingDesign := fs.String("sampling", "", "variance-reduction design with -sim: plain, stratified or rss (collects through a pilot-guided design collector)")
+	d.stack.RegisterSampling(fs)
 	targetWidth := fs.Float64("target-width", 0, "adaptive mode with -sim: add executions round by round until the CI is at most this wide (-runs bounds the budget)")
 	pilotScale := fs.Float64("pilot-scale", 0, "pilot workload scale for -sampling (0 = half of -scale)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	design, err := sampling.ParseDesign(*samplingDesign)
+	design, err := sampling.ParseDesign(d.stack.Sampling)
 	if err != nil {
 		return err
 	}
@@ -279,7 +283,7 @@ func runCI(args []string) error {
 	}
 	p := core.Params{F: *f, C: *c, Direction: direction, Granularity: *gran}
 	if design != sampling.Plain || *targetWidth > 0 {
-		return runCollectedCI(&d, p, design, *targetWidth, *pilotScale)
+		return runCollectedCI(&d, p, *targetWidth, *pilotScale)
 	}
 	xs, err := d.load()
 	if err != nil {
@@ -314,41 +318,27 @@ func runCI(args []string) error {
 }
 
 // runCollectedCI is the collector-backed arm of "spa ci": instead of
-// loading a fixed measurement set it simulates through the coordinator
-// (workers when configured, in-process otherwise), optionally under a
-// variance-reduction design and optionally adaptively to a target width.
-func runCollectedCI(d *dataFlags, p core.Params, design sampling.Design, targetWidth, pilotScale float64) error {
+// loading a fixed measurement set it simulates through the runner's
+// coordinator (workers when configured, in-process otherwise),
+// optionally under a variance-reduction design and optionally
+// adaptively to a target width.
+func runCollectedCI(d *dataFlags, p core.Params, targetWidth, pilotScale float64) error {
 	if d.sim == "" {
 		return errors.New("-sampling and -target-width need -sim (they collect, not load)")
 	}
-	e := manifest.Entry{Benchmark: d.sim, Variant: d.variant}
-	cfg, err := e.Config()
+	job, r, err := d.simJob()
 	if err != nil {
 		return err
 	}
-	coord := &dist.Coordinator{Workers: dist.SplitAddrs(d.workers), Obs: telemetry}
-	var col core.Collector = coord.Collector(dist.Job{Benchmark: d.sim, Config: cfg, Scale: d.scale}, d.metric)
-	var cache *popcache.Cache
-	if d.popcache != "" {
-		cache = popcache.New(d.popcache, 0)
+	ctx := context.Background()
+	var col core.Collector = r.Coordinator().CollectorCtx(ctx, job, d.metric)
+	dcol, err := r.DesignCollector(ctx, job, manifest.Analysis{Metric: d.metric, PilotScale: pilotScale}, col)
+	if err != nil {
+		return err
 	}
-	var dcol *sampling.Collector
-	if design != sampling.Plain {
-		ps := pilotScale
-		if ps == 0 {
-			ps = d.scale / 2
-		}
-		pilot := sampling.PilotFromCollector(
-			coord.Collector(dist.Job{Benchmark: d.sim, Config: cfg, Scale: ps}, d.metric), 0)
-		dcol, err = sampling.New(sampling.Options{
-			Design: design, Metric: d.metric, Cache: cache,
-			Recipe: popcache.Key{Benchmark: d.sim, Config: cfg, Scale: d.scale,
-				PilotScale: ps, ProxyMetric: d.metric},
-		}, col, pilot)
-		if err != nil {
-			return err
-		}
-		col = dcol
+	design := sampling.Plain
+	if dcol != nil {
+		col, design = dcol, dcol.Design()
 	}
 	span := telemetry.T().StartSpan("spa.ci_collect", obs.Str("benchmark", d.sim),
 		obs.Str("sampling", design.String()), obs.F64("target_width", targetWidth))
@@ -363,15 +353,15 @@ func runCollectedCI(d *dataFlags, p core.Params, design sampling.Design, targetW
 	} else {
 		an, err = core.AnalyzeWith(col, p, core.Options{Samples: d.runs, BaseSeed: d.simSeed})
 	}
-	telemetry.CIBuilt("SPA", 0, err)
 	if err != nil {
+		telemetry.CIBuilt("SPA", 0, err)
 		span.End(obs.Str("error", err.Error()))
 		return err
 	}
 	telemetry.CIBuilt("SPA", an.Interval.Width(), nil)
 	span.End(obs.F64("width", an.Interval.Width()), obs.Int("samples", len(an.Samples)))
 	label := "SPA CI"
-	if design != sampling.Plain {
+	if dcol != nil {
 		label = fmt.Sprintf("SPA CI (%s)", design)
 	}
 	fmt.Printf("%s: [%.6g, %.6g]\n", label, an.Interval.Lo, an.Interval.Hi)

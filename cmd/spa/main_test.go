@@ -274,3 +274,23 @@ func TestGlobalTelemetryFlags(t *testing.T) {
 		t.Errorf("metrics dump missing SMC test counter:\n%s", metrics2)
 	}
 }
+
+// TestCollectedCITelemetry: a successful collected-mode CI counts one
+// built interval, not a zero-width extra one.
+func TestCollectedCITelemetry(t *testing.T) {
+	metricsPath := filepath.Join(t.TempDir(), "metrics.prom")
+	err := run([]string{
+		"-metrics", metricsPath,
+		"ci", "-sim", "swaptions", "-scale", "0.05", "-runs", "200", "-target-width", "1.5e-7",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "spa_ci_built_total 1\n") {
+		t.Errorf("metrics dump should count one CI:\n%s", metrics)
+	}
+}

@@ -38,10 +38,8 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/campaignd"
-	"repro/internal/dist"
+	"repro/internal/manifest"
 	"repro/internal/obs"
-	"repro/internal/popcache"
-	"repro/internal/sampling"
 )
 
 func main() {
@@ -57,10 +55,7 @@ func run(args []string, w io.Writer, ready func(addr string, stop func())) error
 	fs := flag.NewFlagSet("spad", flag.ContinueOnError)
 	listen := fs.String("listen", ":9800", "HTTP address to serve on (host:port; port 0 picks a free port)")
 	dataDir := fs.String("data", "", "journal directory: one subdirectory per campaign (required)")
-	workers := fs.String("workers", "", "comma-separated spaworker addresses shared by all campaigns (empty = run in-process)")
 	parallel := fs.Int("parallel", 0, "max concurrent in-process simulations across all campaigns (0 = GOMAXPROCS)")
-	popcacheDir := fs.String("popcache", "", "content-addressed population cache directory shared across campaigns")
-	samplingDesign := fs.String("sampling", "", "default variance-reduction design for adaptive analyses: plain, stratified or rss (per-analysis manifest settings win)")
 	maxRunning := fs.Int("max-running", 0, "max concurrently executing campaigns across all tenants (0 = 4)")
 	tenantRunning := fs.Int("tenant-running", 0, "max concurrently executing campaigns per tenant (0 = 2)")
 	tenantQueue := fs.Int("tenant-queue", 0, "max queued campaigns per tenant before 429 (0 = 16)")
@@ -70,6 +65,9 @@ func run(args []string, w io.Writer, ready func(addr string, stop func())) error
 	version := fs.Bool("version", false, "print build information and exit")
 	var of obs.Flags
 	of.Register(fs)
+	var stack manifest.Flags
+	stack.Register(fs)
+	stack.RegisterSampling(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -80,7 +78,10 @@ func run(args []string, w io.Writer, ready func(addr string, stop func())) error
 	if *dataDir == "" {
 		return fmt.Errorf("-data is required")
 	}
-	if _, err := sampling.ParseDesign(*samplingDesign); err != nil {
+	// The service shares one collector stack (workers, popcache,
+	// default design) across every campaign.
+	var shared manifest.Runner
+	if err := stack.Apply(&shared); err != nil {
 		return err
 	}
 	o, closeObs, err := of.Start("campaigns", w)
@@ -97,18 +98,16 @@ func run(args []string, w io.Writer, ready func(addr string, stop func())) error
 
 	cfg := campaignd.Config{
 		DataDir:          *dataDir,
-		Workers:          dist.SplitAddrs(*workers),
+		Workers:          shared.Workers,
 		Parallelism:      *parallel,
 		MaxRunning:       *maxRunning,
 		TenantRunningCap: *tenantRunning,
 		TenantQueueCap:   *tenantQueue,
 		MaxQueued:        *maxQueued,
 		Quantum:          *quantum,
-		Sampling:         *samplingDesign,
+		PopCache:         shared.PopCache,
+		Sampling:         shared.Sampling,
 		Obs:              o,
-	}
-	if *popcacheDir != "" {
-		cfg.PopCache = popcache.New(*popcacheDir, 0)
 	}
 	svc := campaignd.New(cfg)
 	if err := svc.Start(); err != nil {

@@ -48,8 +48,8 @@ type Config struct {
 	// PopCache, when non-nil, is shared across every campaign.
 	PopCache *popcache.Cache
 	// Sampling is the default variance-reduction design for adaptive
-	// analyses whose manifests don't choose one ("", "plain",
-	// "stratified" or "rss"); see manifest.Runner.Sampling.
+	// analyses whose manifests don't choose one ("", "plain" or
+	// "stratified"); see manifest.Runner.Sampling.
 	Sampling string
 	// Dial optionally replaces the coordinator's dialer (fault
 	// injection).

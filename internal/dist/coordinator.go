@@ -93,10 +93,11 @@ type Coordinator struct {
 	workerSt map[string]*workerState
 
 	// localSem bounds in-process execution across every concurrent job
-	// (lazily sized from Parallelism), so campaigns degrading to local
-	// runs share one CPU budget instead of multiplying it.
+	// (lazily filled with Parallelism simulator arenas), so campaigns
+	// degrading to local runs share one CPU budget instead of
+	// multiplying it, and each slot reuses its arena run after run.
 	localOnce sync.Once
-	localSem  chan struct{}
+	localSem  chan *sim.Runner
 
 	// chunkSeq issues process-unique chunk IDs, so a stale frame from an
 	// abandoned exchange can never alias a live chunk on a reused
@@ -704,14 +705,18 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 
 // localSemaphore returns the process-wide in-process execution bound,
 // shared by every concurrent job so N campaigns degrading locally still
-// run at most Parallelism simulations at once.
-func (c *Coordinator) localSemaphore() chan struct{} {
+// run at most Parallelism simulations at once. Each slot is a simulator
+// arena: taking one acquires the slot, returning it releases it.
+func (c *Coordinator) localSemaphore() chan *sim.Runner {
 	c.localOnce.Do(func() {
 		par := c.Parallelism
 		if par <= 0 {
 			par = runtime.GOMAXPROCS(0)
 		}
-		c.localSem = make(chan struct{}, par)
+		c.localSem = make(chan *sim.Runner, par)
+		for i := 0; i < par; i++ {
+			c.localSem <- sim.NewRunner()
+		}
 	})
 	return c.localSem
 }
@@ -745,17 +750,17 @@ func (c *Coordinator) runLocal(job Job, baseSeed uint64, st *runState, queue *wo
 		var mu sync.Mutex
 		for i := 0; i < ch.count; i++ {
 			cwg.Add(1)
-			sem <- struct{}{}
+			runner := <-sem
 			go func(i int) {
 				defer cwg.Done()
-				defer func() { <-sem }()
+				defer func() { sem <- runner }()
 				off := ch.start + i
 				seed := baseSeed + uint64(off)
 				if h.OnRunStart != nil {
 					h.OnRunStart(off, seed)
 				}
 				start := time.Now()
-				res, err := sim.Run(job.Benchmark, job.Config, job.Scale, seed)
+				res, err := runner.Run(job.Benchmark, job.Config, job.Scale, seed)
 				elapsed := time.Since(start)
 				if h.OnRunDone != nil {
 					h.OnRunDone(off, seed, res, err, elapsed)

@@ -96,20 +96,9 @@ func (v Variant) String() string {
 
 // Config returns the simulator configuration for the variant.
 func (v Variant) Config() sim.Config {
-	switch v {
-	case VariantHardware:
-		return sim.HardwareLikeConfig()
-	case VariantL2Half:
-		cfg := sim.DefaultConfig()
-		cfg.L2Size = 512 * 1024
-		return cfg
-	case VariantL2Double:
-		cfg := sim.DefaultConfig()
-		cfg.L2Size = 1024 * 1024
-		return cfg
-	default:
-		return sim.DefaultConfig()
-	}
+	name := map[Variant]string{VariantHardware: "hardware", VariantL2Half: "l2half", VariantL2Double: "l2double"}[v]
+	cfg, _ := sim.VariantConfig(name) // every name above is known
+	return cfg
 }
 
 // Engine caches benchmark populations across figures so each campaign is

@@ -41,15 +41,15 @@ type Analysis struct {
 	// (0 = the (F, C) minimum again).
 	GrowBatch int `json:"grow_batch,omitempty"`
 	// Sampling selects a variance-reduction collection design for an
-	// adaptive analysis: "plain" (the default), "stratified" or "rss".
-	// Empty defers to the runner-level default. Designs spend a cheap
-	// pilot pass to pick which seeds get full-scale runs, reaching the
-	// target width in fewer executions (see internal/sampling).
+	// adaptive analysis: "plain" (the default) or "stratified". Empty
+	// defers to the runner-level default. The stratified design spends
+	// a cheap pilot pass to pick which seeds get full-scale runs,
+	// reaching the target width in fewer executions (see
+	// internal/sampling).
 	Sampling string `json:"sampling,omitempty"`
-	// SamplingStrata is the stratum count (stratified) or set size
-	// (rss); 0 = sampling.DefaultStrata.
+	// SamplingStrata is the stratum count; 0 = sampling.DefaultStrata.
 	SamplingStrata int `json:"sampling_strata,omitempty"`
-	// SamplingAllocation is the stratified allocation rule:
+	// SamplingAllocation is the allocation rule across strata:
 	// "proportional" (default) or "neyman".
 	SamplingAllocation string `json:"sampling_allocation,omitempty"`
 	// PilotScale is the workload scale of the pilot pass (0 = half the
@@ -128,22 +128,7 @@ type Entry struct {
 
 // Config resolves the entry's simulator configuration.
 func (e Entry) Config() (sim.Config, error) {
-	switch e.Variant {
-	case "", "default":
-		return sim.DefaultConfig(), nil
-	case "hardware":
-		return sim.HardwareLikeConfig(), nil
-	case "l2half":
-		cfg := sim.DefaultConfig()
-		cfg.L2Size = 512 * 1024
-		return cfg, nil
-	case "l2double":
-		cfg := sim.DefaultConfig()
-		cfg.L2Size = 1024 * 1024
-		return cfg, nil
-	default:
-		return sim.Config{}, fmt.Errorf("manifest: unknown variant %q", e.Variant)
-	}
+	return sim.VariantConfig(e.Variant)
 }
 
 // Key identifies the entry — "<benchmark>-<variant>" — naming its

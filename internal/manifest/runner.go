@@ -16,7 +16,6 @@ import (
 	"repro/internal/popcache"
 	"repro/internal/population"
 	"repro/internal/sampling"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -30,7 +29,7 @@ type AnalysisResult struct {
 	Samples   int            `json:"samples"`
 	Interval  stats.Interval `json:"interval"`
 	// Sampling names the variance-reduction design an adaptive analysis
-	// collected under ("stratified", "rss"); empty for plain collection.
+	// collected under ("stratified"); empty for plain collection.
 	Sampling string `json:"sampling,omitempty"`
 	// PilotRuns counts the pilot (proxy) executions the design spent on
 	// top of Samples full-scale runs; zero for plain collection.
@@ -119,16 +118,14 @@ type Runner struct {
 	// repeated design campaign nearly free.
 	PopCache *popcache.Cache
 	// Sampling is the default variance-reduction design for adaptive
-	// analyses that don't set their own ("", "plain", "stratified" or
-	// "rss") — the CLIs' -sampling flag and the campaign service's
+	// analyses that don't set their own ("", "plain" or "stratified") —
+	// the CLIs' -sampling flag (see Flags) and the campaign service's
 	// config land here. Analysis-level settings win.
 	Sampling string
 	// Coord, when non-nil, replaces the runner's own lazily-created
 	// coordinator — the campaign service shares one coordinator (and with
 	// it the worker fleet, its telemetry, and the local parallelism
-	// bound) across every tenant's campaigns. When set, all population
-	// generation routes through it, so cancellation applies at chunk
-	// granularity even with no workers configured.
+	// bound) across every tenant's campaigns.
 	Coord *dist.Coordinator
 	// Hooks receive per-entry and per-analysis progress callbacks.
 	Hooks Hooks
@@ -193,10 +190,10 @@ func (r *Runner) Run(m *Manifest) (*Report, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the campaign stops at
-// the next entry, analysis, or — when generation routes through a
-// coordinator — chunk boundary, returning the context's error. Entry
-// populations already persisted stay on disk, so a later RunContext with
-// the same manifest resumes exactly where this one stopped.
+// the next entry, analysis or coordinator chunk boundary, returning the
+// context's error. Entry populations already persisted stay on disk, so
+// a later RunContext with the same manifest resumes exactly where this
+// one stopped.
 func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -386,13 +383,13 @@ func (r *Runner) analyzeAdaptive(ctx context.Context, m *Manifest, e Entry, idx 
 	baseSeed := m.Seed + uint64(idx)*1_000_000
 	job := dist.Job{Benchmark: e.Benchmark, Config: cfg, Scale: scale}
 	var col core.Collector = r.Coordinator().CollectorCtx(ctx, job, a.Metric)
-	design, dcol, err := r.designCollector(ctx, e, a, cfg, scale, col)
+	dcol, err := r.DesignCollector(ctx, job, a, col)
 	if err != nil {
 		return fail(err)
 	}
 	if dcol != nil {
 		col = dcol
-		res.Sampling = design.String()
+		res.Sampling = dcol.Design().String()
 	}
 	round := 0
 	hooks := core.Hooks{
@@ -435,39 +432,40 @@ func (r *Runner) analyzeAdaptive(ctx context.Context, m *Manifest, e Entry, idx 
 	return res
 }
 
-// designCollector builds the variance-reduction collector for an
-// adaptive analysis, or returns nil when the effective design is plain.
-// The pilot pass runs the same benchmark at a reduced scale through the
-// shared coordinator, with its block populations cached under plain
-// popcache recipes (shared with anything else running that scale) and
-// the cumulative measured population cached under the design recipe —
-// so a repeated campaign re-ranks and re-selects without simulating.
-func (r *Runner) designCollector(ctx context.Context, e Entry, a Analysis, cfg sim.Config, scale float64, full core.Collector) (sampling.Design, *sampling.Collector, error) {
+// DesignCollector wraps full — the analysis's full-scale collector for
+// job — in the analysis's variance-reduction design (falling back to the
+// runner's Sampling default), or returns nil when the effective design
+// is plain. The pilot pass runs the same benchmark at a reduced scale
+// through the shared coordinator, with its block populations cached
+// under plain popcache recipes (shared with anything else running that
+// scale) and the cumulative measured population cached under the design
+// recipe — so a repeated campaign re-ranks and re-selects without
+// simulating.
+func (r *Runner) DesignCollector(ctx context.Context, job dist.Job, a Analysis, full core.Collector) (*sampling.Collector, error) {
 	s := a.Sampling
 	if s == "" {
 		s = r.Sampling
 	}
 	design, err := sampling.ParseDesign(s)
-	if err != nil {
-		return sampling.Plain, nil, err
+	if err != nil || design == sampling.Plain {
+		return nil, err
 	}
-	if design == sampling.Plain {
-		return design, nil, nil
+	pilotJob := job
+	pilotJob.Scale = a.PilotScale
+	if pilotJob.Scale == 0 {
+		pilotJob.Scale = job.Scale / 2
 	}
-	pilotScale := a.PilotScale
-	if pilotScale == 0 {
-		pilotScale = scale / 2
-	}
-	pilotJob := dist.Job{Benchmark: e.Benchmark, Config: cfg, Scale: pilotScale}
 	pilotCol := r.Coordinator().CollectorCtx(ctx, pilotJob, a.Metric)
+	// Pilot runs are design overhead, not campaign samples, so no hooks
+	// count them as campaign runs.
 	pilot := func(baseSeed uint64, n int) ([]float64, error) {
-		key := popcache.Key{Benchmark: e.Benchmark, Config: cfg, Scale: pilotScale, BaseSeed: baseSeed, Runs: n}
+		key := popcache.Key{Benchmark: job.Benchmark, Config: job.Config, Scale: pilotJob.Scale, BaseSeed: baseSeed, Runs: n}
 		pop, _, err := r.PopCache.GetOrGenerate(key, func() (*population.Population, error) {
 			vals, err := pilotCol.Collect(baseSeed, n, r.Parallelism, core.Hooks{})
 			if err != nil {
 				return nil, err
 			}
-			return &population.Population{Benchmark: e.Benchmark, Runs: len(vals), BaseSeed: baseSeed,
+			return &population.Population{Benchmark: job.Benchmark, Runs: len(vals), BaseSeed: baseSeed,
 				Metrics: map[string][]float64{a.Metric: vals}}, nil
 		})
 		if err != nil {
@@ -477,9 +475,9 @@ func (r *Runner) designCollector(ctx context.Context, e Entry, a Analysis, cfg s
 	}
 	alloc, err := sampling.ParseAllocation(a.SamplingAllocation)
 	if err != nil {
-		return design, nil, err
+		return nil, err
 	}
-	dcol, err := sampling.New(sampling.Options{
+	return sampling.New(sampling.Options{
 		Design:     design,
 		Strata:     a.SamplingStrata,
 		Allocation: alloc,
@@ -487,16 +485,14 @@ func (r *Runner) designCollector(ctx context.Context, e Entry, a Analysis, cfg s
 		Fidelity:   a.Fidelity,
 		Metric:     a.Metric,
 		Cache:      r.PopCache,
-		Recipe: popcache.Key{Benchmark: e.Benchmark, Config: cfg, Scale: scale,
-			PilotScale: pilotScale, ProxyMetric: a.Metric},
+		Recipe: popcache.Key{Benchmark: job.Benchmark, Config: job.Config, Scale: job.Scale,
+			PilotScale: pilotJob.Scale, ProxyMetric: a.Metric},
 	}, full, pilot)
-	if err != nil {
-		return design, nil, err
-	}
-	return design, dcol, nil
 }
 
-// loadOrGenerate resumes an entry's population from disk or simulates it.
+// loadOrGenerate resumes an entry's population from its OutDir file or
+// produces it through Population, then writes the file for later
+// resumes. reused marks the resume and cache-hit paths.
 func (r *Runner) loadOrGenerate(ctx context.Context, m *Manifest, e Entry, idx int, scale float64) (*population.Population, bool, error) {
 	path := r.popPath(m, e)
 	if f, err := os.Open(path); err == nil {
@@ -522,39 +518,39 @@ func (r *Runner) loadOrGenerate(ctx context.Context, m *Manifest, e Entry, idx i
 		runs = 100
 	}
 	baseSeed := m.Seed + uint64(idx)*1_000_000
-	ck := popcache.Key{Benchmark: e.Benchmark, Config: cfg, Scale: scale, BaseSeed: baseSeed, Runs: runs}
-	if pop := r.PopCache.Get(ck); pop != nil {
-		r.logf("population cache hit for %s (%d runs)", e.key(), pop.Runs)
-		r.Obs.M().Counter(obs.MetricEntriesReused).Inc()
-		r.Obs.T().Event("campaign.cache_hit", obs.Str("entry", e.key()), obs.Int("runs", pop.Runs))
-		if err := WriteFileAtomic(path, pop.Save); err != nil {
-			return nil, false, err
-		}
-		return pop, true, nil
-	}
-	r.logf("simulating %s: %d runs at scale %g", e.key(), runs, scale)
-	// Totals grow entry by entry (resume skips entries), so ETA reflects
-	// the work discovered so far.
-	r.Obs.P().AddTotal(runs)
-	hooks := population.ObserverHooks(r.Obs, e.Benchmark)
-	var pop *population.Population
-	if len(r.Workers) > 0 || r.Coord != nil {
-		// The coordinator path covers both worker fleets and — with an
-		// injected coordinator and no workers — bounded in-process
-		// execution with chunk-boundary cancellation; its populations are
-		// byte-identical to GenerateHooked's for the same seeds.
-		pop, err = r.Coordinator().GeneratePopulationCtx(ctx, e.Benchmark, cfg, scale, runs, baseSeed, hooks)
-	} else {
-		pop, err = population.GenerateHooked(e.Benchmark, cfg, scale, runs,
-			baseSeed, r.Parallelism, hooks)
-	}
+	k := popcache.Key{Benchmark: e.Benchmark, Config: cfg, Scale: scale, BaseSeed: baseSeed, Runs: runs}
+	pop, hit, err := r.Population(ctx, e.key(), k)
 	if err != nil {
 		return nil, false, err
 	}
-	_ = r.PopCache.Put(ck, pop)
 	if err := WriteFileAtomic(path, pop.Save); err != nil {
 		return nil, false, err
 	}
+	return pop, hit, nil
+}
+
+// Population returns the population recipe k describes: served from
+// the PopCache when it holds the recipe (hit is true), otherwise
+// simulated through the shared coordinator — across the workers when
+// configured, in-process otherwise — and stored in the cache. label
+// names the population in progress lines and trace events.
+func (r *Runner) Population(ctx context.Context, label string, k popcache.Key) (pop *population.Population, hit bool, err error) {
+	if pop := r.PopCache.Get(k); pop != nil {
+		r.logf("population cache hit for %s (%d runs)", label, pop.Runs)
+		r.Obs.M().Counter(obs.MetricEntriesReused).Inc()
+		r.Obs.T().Event("campaign.cache_hit", obs.Str("entry", label), obs.Int("runs", pop.Runs))
+		return pop, true, nil
+	}
+	r.logf("simulating %s: %d runs at scale %g", label, k.Runs, k.Scale)
+	// Totals grow population by population (resume skips entries), so
+	// ETA reflects the work discovered so far.
+	r.Obs.P().AddTotal(k.Runs)
+	pop, err = r.Coordinator().GeneratePopulationCtx(ctx, k.Benchmark, k.Config, k.Scale, k.Runs, k.BaseSeed,
+		population.ObserverHooks(r.Obs, k.Benchmark))
+	if err != nil {
+		return nil, false, err
+	}
+	_ = r.PopCache.Put(k, pop)
 	return pop, false, nil
 }
 

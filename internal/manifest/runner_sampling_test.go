@@ -1,10 +1,12 @@
 package manifest
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/popcache"
+	"repro/internal/sampling"
 	"repro/internal/sim"
 )
 
@@ -27,28 +29,27 @@ func samplingManifest(design string) *Manifest {
 }
 
 func TestRunnerSamplingDesigns(t *testing.T) {
-	for _, design := range []string{"stratified", "rss"} {
-		r := &Runner{OutDir: t.TempDir()}
-		rep, err := r.Run(samplingManifest(design))
-		if err != nil {
-			t.Fatalf("%s: %v", design, err)
-		}
-		res := rep.Results[0]
-		if res.Err != "" {
-			t.Fatalf("%s: analysis failed: %s", design, res.Err)
-		}
-		if res.Sampling != design {
-			t.Errorf("%s: result records sampling %q", design, res.Sampling)
-		}
-		if !res.Converged || res.Interval.Width() > 0.02 {
-			t.Errorf("%s: did not converge to target: %+v", design, res)
-		}
-		if res.PilotRuns == 0 {
-			t.Errorf("%s: no pilot runs recorded", design)
-		}
-		if res.Samples == 0 || len(res.Rounds) == 0 {
-			t.Errorf("%s: missing samples/rounds: %+v", design, res)
-		}
+	design := "stratified"
+	r := &Runner{OutDir: t.TempDir()}
+	rep, err := r.Run(samplingManifest(design))
+	if err != nil {
+		t.Fatalf("%s: %v", design, err)
+	}
+	res := rep.Results[0]
+	if res.Err != "" {
+		t.Fatalf("%s: analysis failed: %s", design, res.Err)
+	}
+	if res.Sampling != design {
+		t.Errorf("%s: result records sampling %q", design, res.Sampling)
+	}
+	if !res.Converged || res.Interval.Width() > 0.02 {
+		t.Errorf("%s: did not converge to target: %+v", design, res)
+	}
+	if res.PilotRuns == 0 {
+		t.Errorf("%s: no pilot runs recorded", design)
+	}
+	if res.Samples == 0 || len(res.Rounds) == 0 {
+		t.Errorf("%s: missing samples/rounds: %+v", design, res)
 	}
 }
 
@@ -57,22 +58,22 @@ func TestRunnerSamplingDesigns(t *testing.T) {
 // are set.
 func TestRunnerSamplingDefault(t *testing.T) {
 	m := samplingManifest("")
-	r := &Runner{OutDir: t.TempDir(), Sampling: "rss"}
+	r := &Runner{OutDir: t.TempDir(), Sampling: "stratified"}
 	rep, err := r.Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Results[0].Sampling; got != "rss" {
+	if got := rep.Results[0].Sampling; got != "stratified" {
 		t.Errorf("runner default not applied: sampling %q", got)
 	}
 
-	m = samplingManifest("stratified")
-	r = &Runner{OutDir: t.TempDir(), Sampling: "rss"}
+	m = samplingManifest("plain")
+	r = &Runner{OutDir: t.TempDir(), Sampling: "stratified"}
 	rep, err = r.Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Results[0].Sampling; got != "stratified" {
+	if got := rep.Results[0].Sampling; got != "" {
 		t.Errorf("analysis-level design must win: sampling %q", got)
 	}
 }
@@ -94,28 +95,27 @@ func TestRunnerSamplingInvalidDefault(t *testing.T) {
 // local path — seed selection depends on pilot values, never on where
 // runs execute.
 func TestRunnerSamplingDistMatchesLocal(t *testing.T) {
-	for _, design := range []string{"stratified", "rss"} {
-		local := &Runner{OutDir: t.TempDir()}
-		lrep, err := local.Run(samplingManifest(design))
-		if err != nil {
-			t.Fatalf("%s local: %v", design, err)
-		}
-		remote := &Runner{OutDir: t.TempDir(), Workers: startDistWorkers(t, 2)}
-		rrep, err := remote.Run(samplingManifest(design))
-		if err != nil {
-			t.Fatalf("%s dist: %v", design, err)
-		}
-		lres, rres := lrep.Results[0], rrep.Results[0]
-		if lres.Interval != rres.Interval || lres.Samples != rres.Samples {
-			t.Errorf("%s: dist result differs: local %+v, dist %+v", design, lres, rres)
-		}
-		if len(lres.Rounds) != len(rres.Rounds) {
-			t.Fatalf("%s: round count differs: %d vs %d", design, len(lres.Rounds), len(rres.Rounds))
-		}
-		for i := range lres.Rounds {
-			if lres.Rounds[i] != rres.Rounds[i] {
-				t.Errorf("%s: round %d differs: %+v vs %+v", design, i, lres.Rounds[i], rres.Rounds[i])
-			}
+	design := "stratified"
+	local := &Runner{OutDir: t.TempDir()}
+	lrep, err := local.Run(samplingManifest(design))
+	if err != nil {
+		t.Fatalf("%s local: %v", design, err)
+	}
+	remote := &Runner{OutDir: t.TempDir(), Workers: startDistWorkers(t, 2)}
+	rrep, err := remote.Run(samplingManifest(design))
+	if err != nil {
+		t.Fatalf("%s dist: %v", design, err)
+	}
+	lres, rres := lrep.Results[0], rrep.Results[0]
+	if lres.Interval != rres.Interval || lres.Samples != rres.Samples {
+		t.Errorf("%s: dist result differs: local %+v, dist %+v", design, lres, rres)
+	}
+	if len(lres.Rounds) != len(rres.Rounds) {
+		t.Fatalf("%s: round count differs: %d vs %d", design, len(lres.Rounds), len(rres.Rounds))
+	}
+	for i := range lres.Rounds {
+		if lres.Rounds[i] != rres.Rounds[i] {
+			t.Errorf("%s: round %d differs: %+v vs %+v", design, i, lres.Rounds[i], rres.Rounds[i])
 		}
 	}
 }
@@ -151,5 +151,20 @@ func TestRunnerSamplingPopCacheReuse(t *testing.T) {
 	after := cache.Stats()
 	if after.MemHits <= warm.MemHits {
 		t.Errorf("second campaign hit the cache %d times, first %d", after.MemHits, warm.MemHits)
+	}
+}
+
+// TestUnknownDesignNamesDesigns: a retired or misspelled design ("rss")
+// fails both at the parser and in a manifest, naming the designs that
+// exist.
+func TestUnknownDesignNamesDesigns(t *testing.T) {
+	const want = "want plain or stratified"
+	if _, err := sampling.ParseDesign("rss"); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ParseDesign(rss) = %v, want an error naming plain and stratified", err)
+	}
+	_, err := Load(strings.NewReader(`{"name": "x", "entries": [{"benchmark": "swaptions"}],
+		"analyses": [{"metric": "runtime_s", "f": 0.5, "c": 0.9, "target_width": 1, "sampling": "rss"}]}`))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("manifest with sampling rss: %v, want an error naming plain and stratified", err)
 	}
 }

@@ -55,7 +55,7 @@ func TestKeyPairwiseDistinct(t *testing.T) {
 	mk("Scale", func(k *Key) { k.Scale = 0.25 })
 	mk("BaseSeed", func(k *Key) { k.BaseSeed = 43 })
 	mk("Runs", func(k *Key) { k.Runs = 101 })
-	mk("Design", func(k *Key) { k.Design = "rss" })
+	mk("Design", func(k *Key) { k.Design = "stratified" })
 	mk("Strata", func(k *Key) { k.Strata = 4 })
 	mk("Allocation", func(k *Key) { k.Allocation = "neyman" })
 	mk("PilotScale", func(k *Key) { k.PilotScale = 0.125 })

@@ -1,7 +1,7 @@
 package sampling
 
 // Honest-coverage suite (paper Sec. 5.4 applied to the variance-reduction
-// designs): the stratified and RSS estimators must keep the plain
+// design): the stratified estimator must keep the plain
 // construction's guarantee — over repeated independent campaigns, the
 // design-matched interval covers the population ground truth at least a
 // fraction C of the time. Narrower intervals bought by giving up coverage
@@ -76,6 +76,14 @@ func coverageReps(t *testing.T) int {
 	return r
 }
 
+// pilotFrom adapts a collector into a PilotFunc. Hooks are not
+// forwarded: pilot runs are design overhead, not campaign samples.
+func pilotFrom(c core.Collector, batch int) PilotFunc {
+	return func(baseSeed uint64, n int) ([]float64, error) {
+		return c.Collect(baseSeed, n, batch, core.Hooks{})
+	}
+}
+
 // simRunFunc measures one seed of the profile at the given scale.
 func simRunFunc(bench string, cfg sim.Config, scale float64) core.RunFunc {
 	return func(seed uint64) (float64, error) {
@@ -92,9 +100,7 @@ func simRunFunc(bench string, cfg sim.Config, scale float64) core.RunFunc {
 }
 
 // coverageOptions is the design configuration the whole suite uses: three
-// groups keeps RSS pilot consumption at 3 per unit, and a 24-run pilot
-// block is cutpoint material for stratified and exactly one replication's
-// worth of RSS candidates.
+// strata, and a 24-run pilot block as cutpoint material.
 func coverageOptions(d Design) Options {
 	return Options{Design: d, Strata: 3, PilotBlock: 24}
 }
@@ -111,7 +117,7 @@ func coverageInterval(bench string, cfg sim.Config, d Design, base uint64) (stat
 		}
 		return core.ConfidenceInterval(samples, p)
 	}
-	pilot := PilotFromCollector(core.FuncCollector(simRunFunc(bench, cfg, covPilotScale)), 0)
+	pilot := pilotFrom(core.FuncCollector(simRunFunc(bench, cfg, covPilotScale)), 0)
 	c, err := New(coverageOptions(d), full, pilot)
 	if err != nil {
 		return stats.Interval{}, err
@@ -150,7 +156,7 @@ func TestHonestCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, d := range []Design{Plain, Stratified, RSS} {
+			for _, d := range []Design{Plain, Stratified} {
 				d := d
 				t.Run(d.String(), func(t *testing.T) {
 					covered, width := coverageSweep(t, bench, cfg, d, reps, truth)
@@ -218,7 +224,7 @@ func coverageSweep(t *testing.T, bench string, cfg sim.Config, d Design, reps in
 }
 
 // TestSamplingSchedulingIdentity pins the determinism contract across
-// every execution-shape knob: for each profile and design, the sampled
+// every execution-shape knob: for each profile, the sampled
 // population is bit-identical whatever GOMAXPROCS and whatever batch
 // bound drives the measurement pool. Seed selection happens before any
 // parallel work, and measured values land at their unit index, so the
@@ -232,46 +238,44 @@ func TestSamplingSchedulingIdentity(t *testing.T) {
 	oldProcs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(oldProcs)
 
-	collect := func(bench string, d Design, batch int) ([]float64, Stats) {
+	collect := func(bench string, batch int) ([]float64, Stats) {
 		t.Helper()
 		full := core.FuncCollector(simRunFunc(bench, cfg, covScale))
-		pilot := PilotFromCollector(core.FuncCollector(simRunFunc(bench, cfg, covPilotScale)), batch)
-		c, err := New(coverageOptions(d), full, pilot)
+		pilot := pilotFrom(core.FuncCollector(simRunFunc(bench, cfg, covPilotScale)), batch)
+		c, err := New(coverageOptions(Stratified), full, pilot)
 		if err != nil {
 			t.Fatal(err)
 		}
 		samples, err := c.Collect(1000, units, batch, core.Hooks{})
 		if err != nil {
-			t.Fatalf("%s/%s batch %d: %v", bench, d, batch, err)
+			t.Fatalf("%s batch %d: %v", bench, batch, err)
 		}
 		return samples, c.Stats()
 	}
 
 	for _, bench := range workload.Names() {
-		for _, d := range []Design{Stratified, RSS} {
-			var ref []float64
-			var refStats Stats
-			for _, procs := range []int{1, 2, 8} {
-				runtime.GOMAXPROCS(procs)
-				for _, batch := range []int{1, 8} {
-					samples, st := collect(bench, d, batch)
-					if ref == nil {
-						ref, refStats = samples, st
-						continue
-					}
-					if st != refStats {
-						t.Errorf("%s/%s procs %d batch %d: stats %+v, want %+v",
-							bench, d, procs, batch, st, refStats)
-					}
-					for i := range ref {
-						if math.Float64bits(samples[i]) != math.Float64bits(ref[i]) {
-							t.Errorf("%s/%s procs %d batch %d: sample %d = %x, want %x",
-								bench, d, procs, batch, i, math.Float64bits(samples[i]), math.Float64bits(ref[i]))
-						}
+		var ref []float64
+		var refStats Stats
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			for _, batch := range []int{1, 8} {
+				samples, st := collect(bench, batch)
+				if ref == nil {
+					ref, refStats = samples, st
+					continue
+				}
+				if st != refStats {
+					t.Errorf("%s procs %d batch %d: stats %+v, want %+v",
+						bench, procs, batch, st, refStats)
+				}
+				for i := range ref {
+					if math.Float64bits(samples[i]) != math.Float64bits(ref[i]) {
+						t.Errorf("%s procs %d batch %d: sample %d = %x, want %x",
+							bench, procs, batch, i, math.Float64bits(samples[i]), math.Float64bits(ref[i]))
 					}
 				}
 			}
-			runtime.GOMAXPROCS(oldProcs)
 		}
+		runtime.GOMAXPROCS(oldProcs)
 	}
 }

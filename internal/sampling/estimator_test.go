@@ -51,39 +51,35 @@ func TestCountDistSumsToOne(t *testing.T) {
 // core's plain order-statistic construction: the count model collapses
 // to the same binomial, so the interval indices must match exactly.
 func TestDesignBoundsMatchPlain(t *testing.T) {
-	for _, d := range []Design{Stratified, RSS} {
-		for _, n := range []int{29, 64, 120, 200} {
-			for _, f := range []float64{0.5, 0.9} {
-				for _, c := range []float64{0.9, 0.95} {
-					p := core.Params{F: f, C: c}
-					// Distinct integer samples make interval endpoints
-					// recoverable as order-statistic indices.
-					sorted := make([]float64, n)
-					groups := make([]int, n)
-					for i := range sorted {
-						sorted[i] = float64(i)
-						groups[i] = i%4 + 1
+	for _, n := range []int{29, 64, 120, 200} {
+		for _, f := range []float64{0.5, 0.9} {
+			for _, c := range []float64{0.9, 0.95} {
+				p := core.Params{F: f, C: c}
+				// Distinct integer samples make interval endpoints
+				// recoverable as order-statistic indices.
+				sorted := make([]float64, n)
+				for i := range sorted {
+					sorted[i] = float64(i)
+				}
+				q := plainQ(n, f)
+				ref, err := core.ConfidenceIntervalSorted(sorted, p)
+				if err != nil {
+					// Below the plain minimum both constructions
+					// must refuse.
+					if _, _, derr := designBounds(q, p.SideLevel()); derr == nil {
+						t.Errorf("n=%d f=%v c=%v: plain refused (%v) but design bounds converged", n, f, c, err)
 					}
-					q := qVector(d, 4, groups, f, 0, false, 32)
-					ref, err := core.ConfidenceIntervalSorted(sorted, p)
-					if err != nil {
-						// Below the plain minimum both constructions
-						// must refuse.
-						if _, _, derr := designBounds(q, p.SideLevel()); derr == nil {
-							t.Errorf("%v n=%d f=%v c=%v: plain refused (%v) but design bounds converged", d, n, f, c, err)
-						}
-						continue
-					}
-					mNeg, mPos, err := designBounds(q, p.SideLevel())
-					if err != nil {
-						t.Fatalf("designBounds(%v n=%d f=%v c=%v): %v", d, n, f, c, err)
-					}
-					if got, want := sorted[mNeg], ref.Lo; got != want {
-						t.Errorf("%v n=%d f=%v c=%v: Lo index %v, plain %v", d, n, f, c, got, want)
-					}
-					if got, want := sorted[mPos-1], ref.Hi; got != want {
-						t.Errorf("%v n=%d f=%v c=%v: Hi index %v, plain %v", d, n, f, c, got, want)
-					}
+					continue
+				}
+				mNeg, mPos, err := designBounds(q, p.SideLevel())
+				if err != nil {
+					t.Fatalf("designBounds(n=%d f=%v c=%v): %v", n, f, c, err)
+				}
+				if got, want := sorted[mNeg], ref.Lo; got != want {
+					t.Errorf("n=%d f=%v c=%v: Lo index %v, plain %v", n, f, c, got, want)
+				}
+				if got, want := sorted[mPos-1], ref.Hi; got != want {
+					t.Errorf("n=%d f=%v c=%v: Hi index %v, plain %v", n, f, c, got, want)
 				}
 			}
 		}
@@ -91,44 +87,42 @@ func TestDesignBoundsMatchPlain(t *testing.T) {
 }
 
 // TestQVectorReflection pins the AtLeast identity the estimator relies
-// on: 1 − q_g(1−p) = q_{G+1−g}(p) for both design models, through the
+// on: 1 − q_g(1−p) = q_{G+1−g}(p) for the stratum model, per pool
+// composition (bandFrac) and marginally (stratumCDF), through the
 // fidelity mixture.
 func TestQVectorReflection(t *testing.T) {
-	groups := []int{1, 2, 3, 4, 5, 1, 3}
-	for _, d := range []Design{Stratified, RSS} {
-		for _, lam := range []float64{0, 0.4, 0.95} {
-			for _, p := range []float64{0.1, 0.5, 0.9} {
-				plain := qVector(d, 5, groups, 1-p, lam, false, 40)
-				refl := qVector(d, 5, groups, p, lam, true, 40)
-				for i := range groups {
-					if math.Abs(refl[i]-(1-plain[i])) > 1e-12 {
-						t.Fatalf("%v λ=%v p=%v g=%d: reflected %v, want %v", d, lam, p, groups[i], refl[i], 1-plain[i])
-					}
+	const G, B = 5, 40
+	for g := 1; g <= G; g++ {
+		for j := 0; j <= B; j++ {
+			if got, want := bandFrac(G, G+1-g, j, B), 1-bandFrac(G, g, B-j, B); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("g=%d j=%d: reflected band fraction %v, want %v", g, j, got, want)
+			}
+		}
+	}
+	for _, lam := range []float64{0, 0.4, 0.95} {
+		q := func(g int, p float64) float64 { return lam*stratumCDF(G, g, p, B) + (1-lam)*p }
+		for _, p := range []float64{0.1, 0.5, 0.9} {
+			for g := 1; g <= G; g++ {
+				if got, want := q(G+1-g, p), 1-q(g, 1-p); math.Abs(got-want) > 1e-12 {
+					t.Fatalf("λ=%v p=%v g=%d: reflected %v, want %v", lam, p, g, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestQVectorCycleMean pins the centring property: over a complete group
-// cycle the per-unit probabilities average exactly to p, so the design
-// never biases the satisfied count.
+// TestQVectorCycleMean pins the centring property: over a complete
+// stratum cycle the per-unit probabilities average exactly to p, so the
+// design never biases the satisfied count.
 func TestQVectorCycleMean(t *testing.T) {
-	for _, d := range []Design{Stratified, RSS} {
-		for _, G := range []int{2, 4, 7} {
-			groups := make([]int, G)
+	for _, G := range []int{2, 4, 7} {
+		for _, p := range []float64{0.2, 0.5, 0.9} {
+			sum := 0.0
 			for g := 1; g <= G; g++ {
-				groups[g-1] = g
+				sum += 0.85*stratumCDF(G, g, p, 8*G) + 0.15*p
 			}
-			for _, p := range []float64{0.2, 0.5, 0.9} {
-				q := qVector(d, G, groups, p, 0.85, false, 8*G)
-				sum := 0.0
-				for _, v := range q {
-					sum += v
-				}
-				if math.Abs(sum/float64(G)-p) > 1e-9 {
-					t.Errorf("%v G=%d p=%v: cycle mean %v", d, G, p, sum/float64(G))
-				}
+			if math.Abs(sum/float64(G)-p) > 1e-9 {
+				t.Errorf("G=%d p=%v: cycle mean %v", G, p, sum/float64(G))
 			}
 		}
 	}
@@ -140,32 +134,30 @@ func TestQVectorCycleMean(t *testing.T) {
 // realistic size.
 func TestDesignCINarrower(t *testing.T) {
 	p := core.Params{F: 0.5, C: 0.9}
-	for _, d := range []Design{Stratified, RSS} {
-		for _, n := range []int{60, 120, 240} {
-			samples := make([]float64, n)
-			groups := make([]int, n)
-			pools := make([]int, n)
-			for i := range samples {
-				samples[i] = float64(i)
-				groups[i] = i%4 + 1
-				// Pools grow one 32-candidate block per 32 units, the
-				// shape a real campaign produces.
-				pools[i] = 32 * (i/32 + 1)
-			}
-			plain, err := core.ConfidenceInterval(samples, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			design, err := designCI(samples, groups, pools, d, 4, 0.9, p)
-			if err != nil {
-				t.Fatalf("%v n=%d: %v", d, n, err)
-			}
-			if design.Width() > plain.Width() {
-				t.Errorf("%v n=%d: design width %v > plain %v", d, n, design.Width(), plain.Width())
-			}
-			if n >= 120 && design.Width() >= plain.Width() {
-				t.Errorf("%v n=%d: design width %v not strictly narrower than plain %v", d, n, design.Width(), plain.Width())
-			}
+	for _, n := range []int{60, 120, 240} {
+		samples := make([]float64, n)
+		groups := make([]int, n)
+		pools := make([]int, n)
+		for i := range samples {
+			samples[i] = float64(i)
+			groups[i] = i%4 + 1
+			// Pools grow one 32-candidate block per 32 units, the
+			// shape a real campaign produces.
+			pools[i] = 32 * (i/32 + 1)
+		}
+		plain, err := core.ConfidenceInterval(samples, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		design, err := designCI(samples, groups, pools, 4, 0.9, p)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if design.Width() > plain.Width() {
+			t.Errorf("n=%d: design width %v > plain %v", n, design.Width(), plain.Width())
+		}
+		if n >= 120 && design.Width() >= plain.Width() {
+			t.Errorf("n=%d: design width %v not strictly narrower than plain %v", n, design.Width(), plain.Width())
 		}
 	}
 }
@@ -192,18 +184,16 @@ func TestDesignCIReflectionConsistency(t *testing.T) {
 		neg[i] = -samples[i]
 		rgroups[i] = G + 1 - groups[i]
 	}
-	for _, d := range []Design{Stratified, RSS} {
-		got, err := designCI(samples, groups, pools, d, G, 0.8, pAtLeast)
-		if err != nil {
-			t.Fatalf("%v at-least: %v", d, err)
-		}
-		ref, err := designCI(neg, rgroups, pools, d, G, 0.8, pAtMost)
-		if err != nil {
-			t.Fatalf("%v reflected at-most: %v", d, err)
-		}
-		if math.Abs(got.Lo-(-ref.Hi)) > 1e-15 || math.Abs(got.Hi-(-ref.Lo)) > 1e-15 {
-			t.Errorf("%v: at-least [%v, %v], reflected [%v, %v]", d, got.Lo, got.Hi, -ref.Hi, -ref.Lo)
-		}
+	got, err := designCI(samples, groups, pools, G, 0.8, pAtLeast)
+	if err != nil {
+		t.Fatalf("at-least: %v", err)
+	}
+	ref, err := designCI(neg, rgroups, pools, G, 0.8, pAtMost)
+	if err != nil {
+		t.Fatalf("reflected at-most: %v", err)
+	}
+	if math.Abs(got.Lo-(-ref.Hi)) > 1e-15 || math.Abs(got.Hi-(-ref.Lo)) > 1e-15 {
+		t.Errorf("at-least [%v, %v], reflected [%v, %v]", got.Lo, got.Hi, -ref.Hi, -ref.Lo)
 	}
 }
 
@@ -218,52 +208,14 @@ func TestDesignCIFallbackFeasible(t *testing.T) {
 	}
 	samples := make([]float64, minN)
 	groups := make([]int, minN)
+	pools := make([]int, minN)
 	for i := range samples {
 		samples[i] = float64(i)
 		groups[i] = i%4 + 1
+		pools[i] = 32
 	}
-	if _, err := designCI(samples, groups, nil, RSS, 4, maxFidelity, p); err != nil {
+	if _, err := designCI(samples, groups, pools, 4, maxFidelity, p); err != nil {
 		t.Fatalf("designCI at plain minimum n=%d: %v", minN, err)
-	}
-}
-
-func TestSpearman(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	if got := spearman(a, []float64{10, 20, 30, 40, 50}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("perfect: %v", got)
-	}
-	if got := spearman(a, []float64{50, 40, 30, 20, 10}); math.Abs(got+1) > 1e-12 {
-		t.Errorf("reversed: %v", got)
-	}
-	if got := spearman(a, []float64{7, 7, 7, 7, 7}); got != 0 {
-		t.Errorf("constant: %v", got)
-	}
-	// Ties use midranks: both vectors tie the middle pair identically, so
-	// correlation stays 1.
-	if got := spearman([]float64{1, 2, 2, 3}, []float64{5, 6, 6, 9}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("tied: %v", got)
-	}
-}
-
-func TestEstimateFidelity(t *testing.T) {
-	n := 100
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := range a {
-		a[i] = float64(i)
-		b[i] = float64(i) * 2
-	}
-	if got, want := estimateFidelity(a, b), 1-1/math.Sqrt(float64(n)); math.Abs(got-want) > 1e-12 {
-		t.Errorf("perfect proxy: λ = %v, want %v", got, want)
-	}
-	for i := range b {
-		b[i] = -a[i]
-	}
-	if got := estimateFidelity(a, b); got != 0 {
-		t.Errorf("anti-correlated proxy: λ = %v, want 0", got)
-	}
-	if got := estimateFidelity(a[:4], b[:4]); got != 0 {
-		t.Errorf("tiny sample: λ = %v, want 0", got)
 	}
 }
 

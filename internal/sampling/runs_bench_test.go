@@ -1,15 +1,15 @@
 package sampling
 
 // BenchmarkRunsToWidth measures the economic claim behind the
-// variance-reduction designs: how many simulator executions each design
-// needs before AnalyzeToWidth's interval narrows to a fixed target. The
-// target per profile is what the plain construction achieves at 400
-// samples, so "plain" converges near 400 full runs by construction and
-// the design rows show the savings. Three custom metrics feed
+// variance-reduction design: how many simulator executions plain and
+// stratified collection need before AnalyzeToWidth's interval narrows
+// to a fixed target. The target per profile is what the plain
+// construction achieves at 400 samples, so "plain" converges near 400
+// full runs by construction and the stratified row shows the savings. Three custom metrics feed
 // BENCH_10.json via benchreport:
 //
 //	full-runs/op   full-fidelity executions (the paper's unit of cost)
-//	pilot-runs/op  quarter-scale proxy executions the design spent
+//	pilot-runs/op  half-scale proxy executions the design spent
 //	run-cost/op    full-runs + pilot-runs scaled by relative simulation
 //	               cost, i.e. total work in full-run equivalents
 //
@@ -35,7 +35,7 @@ const (
 
 var benchParams = core.Params{F: 0.5, C: 0.9}
 
-// targetWidths memoizes the per-profile target so the three design rows
+// targetWidths memoizes the per-profile target so both rows
 // of one profile share a single 400-sample plain calibration.
 var targetWidths sync.Map
 
@@ -72,7 +72,7 @@ func runsToWidth(b *testing.B, bench string, cfg sim.Config, d Design, target fl
 		return int(fullRuns.Load()), 0, len(an.Samples)
 	}
 
-	pilot := PilotFromCollector(core.FuncCollector(simRunFunc(bench, cfg, benchPilotScale)), 0)
+	pilot := pilotFrom(core.FuncCollector(simRunFunc(bench, cfg, benchPilotScale)), 0)
 	c, err := New(Options{Design: d}, core.FuncCollector(counted), pilot)
 	if err != nil {
 		b.Fatal(err)
@@ -88,7 +88,7 @@ func runsToWidth(b *testing.B, bench string, cfg sim.Config, d Design, target fl
 func BenchmarkRunsToWidth(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	for _, bench := range workload.Names() {
-		for _, d := range []Design{Plain, Stratified, RSS} {
+		for _, d := range []Design{Plain, Stratified} {
 			b.Run(bench+"/"+d.String(), func(b *testing.B) {
 				target := targetWidthFor(b, bench, cfg)
 				var full, pilots, samples int

@@ -218,6 +218,26 @@ func HardwareLikeConfig() Config {
 	return cfg
 }
 
+// VariantConfig returns a named system variant — the set campaigns,
+// simrun and the experiments select from: "default" (or ""), "hardware"
+// (HardwareLikeConfig), and the Fig. 4 pair "l2half" (512 kB L2) and
+// "l2double" (1 MB L2).
+func VariantConfig(name string) (Config, error) {
+	cfg := DefaultConfig()
+	switch name {
+	case "", "default":
+	case "hardware":
+		cfg = HardwareLikeConfig()
+	case "l2half":
+		cfg.L2Size = 512 * 1024
+	case "l2double":
+		cfg.L2Size = 1024 * 1024
+	default:
+		return Config{}, fmt.Errorf("sim: unknown variant %q (want default, hardware, l2half or l2double)", name)
+	}
+	return cfg, nil
+}
+
 // Validate checks internal consistency.
 func (c Config) Validate() error {
 	switch {

@@ -195,3 +195,28 @@ func TestGoldenRepeatedRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestVariantConfigMatchesGolden ties VariantConfig to the golden
+// matrix: each named variant resolves to the configuration the goldens
+// pin under that name, and unknown names are rejected.
+func TestVariantConfigMatchesGolden(t *testing.T) {
+	pinned := map[string]Config{}
+	for _, gc := range goldenConfigs() {
+		pinned[gc.name] = gc.cfg
+	}
+	for _, name := range []string{"default", "hardware", "l2half", "l2double"} {
+		cfg, err := VariantConfig(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cfg != pinned[name] {
+			t.Errorf("%s: VariantConfig differs from the golden configuration", name)
+		}
+	}
+	if cfg, err := VariantConfig(""); err != nil || cfg != DefaultConfig() {
+		t.Errorf(`VariantConfig("") = %v, want the default configuration`, err)
+	}
+	if _, err := VariantConfig("msi"); err == nil {
+		t.Error("VariantConfig accepted an ablation name that is not a system variant")
+	}
+}
