@@ -131,3 +131,29 @@ func TestConfigOverrides(t *testing.T) {
 		t.Error("bad protocol override should surface the config error")
 	}
 }
+
+// TestPopulationFileGolden pins the bytes of a population file written
+// with -out: every metric of every run, in seed order. It holds at any
+// -parallel setting.
+func TestPopulationFileGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "swaptions-l2half.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []string{"1", "3"} {
+		out := filepath.Join(t.TempDir(), "pop.json")
+		var buf bytes.Buffer
+		err := run([]string{"-bench", "swaptions", "-variant", "l2half", "-runs", "4",
+			"-scale", "0.05", "-seed", "11", "-parallel", par, "-out", out}, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("-parallel %s: population file differs from testdata/swaptions-l2half.golden.json:\n%s", par, got)
+		}
+	}
+}
