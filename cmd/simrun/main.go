@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -19,8 +20,9 @@ import (
 	"strings"
 
 	"repro/internal/buildinfo"
+	"repro/internal/manifest"
 	"repro/internal/obs"
-	"repro/internal/population"
+	"repro/internal/popcache"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -90,9 +92,9 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	o.P().AddTotal(*runs)
-	pop, err := population.GenerateHooked(*bench, cfg, *scale, *runs, *seed, *parallel,
-		population.ObserverHooks(o, *bench))
+	r := &manifest.Runner{Parallelism: *parallel, Obs: o}
+	pop, _, err := r.Population(context.Background(), *bench, popcache.Key{
+		Benchmark: *bench, Config: cfg, Scale: *scale, BaseSeed: *seed, Runs: *runs})
 	if err != nil {
 		closeObs()
 		return err

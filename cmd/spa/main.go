@@ -331,7 +331,7 @@ func runCollectedCI(d *dataFlags, p core.Params, targetWidth, pilotScale float64
 		return err
 	}
 	ctx := context.Background()
-	var col core.Collector = r.Coordinator().CollectorCtx(ctx, job, d.metric)
+	var col core.Collector = r.Coordinator().Collector(ctx, job, d.metric)
 	dcol, err := r.DesignCollector(ctx, job, manifest.Analysis{Metric: d.metric, PilotScale: pilotScale}, col)
 	if err != nil {
 		return err

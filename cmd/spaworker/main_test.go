@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func TestServeEndToEnd(t *testing.T) {
 	defer worker.Close()
 
 	coord := &dist.Coordinator{Workers: []string{worker.Addr()}, ChunkTarget: time.Millisecond}
-	pop, err := coord.GeneratePopulation("swaptions", sim.DefaultConfig(), 0.05, 8, 3, population.RunHooks{})
+	pop, err := coord.GeneratePopulation(context.Background(), "swaptions", sim.DefaultConfig(), 0.05, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,7 +299,6 @@ func (s *Service) execute(ctx context.Context, c *campaign) {
 		OutDir:       s.journal.campaignDir(rec.ID),
 		Parallelism:  s.cfg.Parallelism,
 		Obs:          s.obs,
-		Workers:      s.cfg.Workers,
 		PopCache:     s.cfg.PopCache,
 		Sampling:     s.cfg.Sampling,
 		Coord:        s.coord,

@@ -15,6 +15,10 @@ import (
 // in flight where the backend honours it (remote backends may govern
 // parallelism themselves — the bound can shift wall-clock time but never
 // sample values). Hooks observe runs and must not affect results.
+// FuncCollector fires the per-run hooks; internal/dist's coordinator
+// does not — it reports every run it executes to its own Observer
+// instead, so a campaign's run telemetry has one source whichever layer
+// collects.
 //
 // Variance-reduction collectors (internal/sampling) relax "samples for
 // seeds baseSeed+0 … baseSeed+n−1" to "samples for n deterministically

@@ -11,7 +11,9 @@ import "time"
 //
 // Hooks observe executions; they must not mutate campaign state and they
 // never receive or consume simulation RNG, so enabling them cannot change
-// any collected metric.
+// any collected metric. OnRunStart and OnRunDone fire for RunFunc-backed
+// collection (Collect, FuncCollector); a simulator-backed collector from
+// internal/dist reports its runs to its coordinator's Observer instead.
 type Hooks struct {
 	// OnRunStart fires immediately before an execution with its seed.
 	// It may be called from many goroutines concurrently.

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net"
 	"sync"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/population"
 	"repro/internal/sim"
 )
 
@@ -87,7 +87,7 @@ func TestV3FleetStreamsBatches(t *testing.T) {
 	c := fastCoord(w.Addr())
 	c.ChunkTarget = 100 * time.Millisecond
 	c.Dial = countingDial(fc)
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, runs, testSeed, population.RunHooks{})
+	got, err := c.GeneratePopulation(context.Background(), testBench, sim.DefaultConfig(), testScale, runs, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,16 +179,7 @@ func TestHeterogeneousFleetAdaptive(t *testing.T) {
 	c := fastCoord(fast.Addr(), slow.Addr())
 	c.ChunkTarget = target
 	c.Obs = &obs.Observer{Tracer: obs.NewTracer(trace)}
-	var runMu sync.Mutex
-	var maxRun time.Duration
-	h := population.RunHooks{OnRunDone: func(i int, seed uint64, res *sim.Result, err error, elapsed time.Duration) {
-		runMu.Lock()
-		if elapsed > maxRun {
-			maxRun = elapsed
-		}
-		runMu.Unlock()
-	}}
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, runs, testSeed, h)
+	got, err := c.GeneratePopulation(context.Background(), testBench, sim.DefaultConfig(), testScale, runs, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +200,11 @@ func TestHeterogeneousFleetAdaptive(t *testing.T) {
 	// inflates run cost ~10x mid-campaign, invalidating every throughput
 	// estimate the sizes were derived from — skip the wall-time check
 	// there, keep the sharing and byte-identity ones.
-	runMu.Lock()
+	var maxRun time.Duration
+	for _, r := range simRuns(t, trace.Bytes()) {
+		maxRun = max(maxRun, r.Elapsed)
+	}
 	budget := 2*target + maxRun
-	runMu.Unlock()
 	type span struct {
 		Kind  string `json:"kind"`
 		Name  string `json:"name"`

@@ -1,13 +1,13 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/population"
 	"repro/internal/sim"
 )
 
@@ -115,8 +115,8 @@ func BenchmarkDistCampaignThroughput(b *testing.B) {
 			},
 		}
 		for b.Loop() {
-			if _, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale,
-				runs, testSeed, population.RunHooks{}); err != nil {
+			if _, err := c.GeneratePopulation(context.Background(), testBench, sim.DefaultConfig(), testScale,
+				runs, testSeed); err != nil {
 				b.Fatal(err)
 			}
 		}

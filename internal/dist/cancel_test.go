@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -89,7 +90,7 @@ func TestNoChunkDispatchAfterConvergence(t *testing.T) {
 	var atConvergence atomic.Int64
 	atConvergence.Store(-1)
 	const target = 1.0 // generous: the very first round converges
-	col := c.Collector(testJob(), "runtime_s")
+	col := c.Collector(context.Background(), testJob(), "runtime_s")
 	_, err := core.AnalyzeToWidthWith(col, core.Params{F: 0.5, C: 0.9}, core.WidthOptions{
 		TargetWidth: target,
 		BaseSeed:    testSeed,

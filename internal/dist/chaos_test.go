@@ -1,15 +1,14 @@
 package dist
 
 import (
+	"context"
 	"os"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/faultx"
 	"repro/internal/obs"
-	"repro/internal/population"
 	"repro/internal/sim"
 )
 
@@ -129,7 +128,7 @@ func TestChaosSoakByteIdentity(t *testing.T) {
 				addrs[i] = w.Addr()
 			}
 			c := chaosCoord(faultx.New(base+7, prof, chaosObs), &obs.Observer{Metrics: reg}, addrs...)
-			got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, runs, testSeed, population.RunHooks{})
+			got, err := c.GeneratePopulation(context.Background(), testBench, sim.DefaultConfig(), testScale, runs, testSeed)
 			if err != nil {
 				t.Fatalf("chaos campaign (%s, seed %d) failed outright: %v", name, seed, err)
 			}
@@ -151,8 +150,9 @@ func TestChaosSoakByteIdentity(t *testing.T) {
 }
 
 // TestChaosHooksNeverDuplicate runs the combined profile and checks the
-// exactly-once hook contract survives chaos: re-dispatched and
-// half-streamed chunks must not fire hooks twice or for phantom runs.
+// exactly-once observation contract survives chaos: re-dispatched and
+// half-streamed chunks must not report a run twice or report a phantom
+// run — exactly one "sim.run" span per seed.
 func TestChaosHooksNeverDuplicate(t *testing.T) {
 	const runs = 9
 	seed := chaosSeed(t)
@@ -160,24 +160,10 @@ func TestChaosHooksNeverDuplicate(t *testing.T) {
 	w1 := startChaosWorker(t, faultx.New(seed*7+1, prof, nil))
 	w2 := startChaosWorker(t, faultx.New(seed*7+2, prof, nil))
 
-	var mu sync.Mutex
-	seen := map[int]int{}
-	h := population.RunHooks{
-		OnRunDone: func(i int, s uint64, res *sim.Result, err error, elapsed time.Duration) {
-			mu.Lock()
-			seen[i]++
-			mu.Unlock()
-		},
-	}
-	c := chaosCoord(faultx.New(seed*7+3, prof, nil), nil, w1.Addr(), w2.Addr())
-	if _, err := c.Run(testJob(), testSeed, runs, h); err != nil {
+	trace := &syncBuffer{}
+	c := chaosCoord(faultx.New(seed*7+3, prof, nil), &obs.Observer{Tracer: obs.NewTracer(trace)}, w1.Addr(), w2.Addr())
+	if _, err := c.Run(context.Background(), testJob(), testSeed, runs); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i := 0; i < runs; i++ {
-		if seen[i] != 1 {
-			t.Errorf("run %d hook fired %d times under chaos, want exactly 1", i, seen[i])
-		}
-	}
+	checkRunsObservedOnce(t, trace.Bytes(), runs)
 }

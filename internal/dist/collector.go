@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/population"
@@ -14,14 +13,9 @@ import (
 // runs the job `runs` times with seeds baseSeed+i across the workers and
 // assembles the population through the same code path local generation
 // uses, so the two are byte-identical for the same manifest seed.
-func (c *Coordinator) GeneratePopulation(benchmark string, cfg sim.Config, scale float64, runs int, baseSeed uint64, h population.RunHooks) (*population.Population, error) {
-	return c.GeneratePopulationCtx(context.Background(), benchmark, cfg, scale, runs, baseSeed, h)
-}
-
-// GeneratePopulationCtx is GeneratePopulation with cooperative
-// cancellation (see RunCtx).
-func (c *Coordinator) GeneratePopulationCtx(ctx context.Context, benchmark string, cfg sim.Config, scale float64, runs int, baseSeed uint64, h population.RunHooks) (*population.Population, error) {
-	results, err := c.RunCtx(ctx, Job{Benchmark: benchmark, Config: cfg, Scale: scale}, baseSeed, runs, h)
+// Cancellation and run telemetry are Run's.
+func (c *Coordinator) GeneratePopulation(ctx context.Context, benchmark string, cfg sim.Config, scale float64, runs int, baseSeed uint64) (*population.Population, error) {
+	results, err := c.Run(ctx, Job{Benchmark: benchmark, Config: cfg, Scale: scale}, baseSeed, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -32,24 +26,12 @@ func (c *Coordinator) GeneratePopulationCtx(ctx context.Context, benchmark strin
 	return population.FromRuns(benchmark, baseSeed, metrics), nil
 }
 
-// DistCollect runs the job across the workers and returns one metric's
-// samples ordered by seed offset — the distributed equivalent of
-// core.Collect over a simulator-backed RunFunc.
-func (c *Coordinator) DistCollect(job Job, metric string, baseSeed uint64, n int) ([]float64, error) {
-	return c.Collector(job, metric).Collect(baseSeed, n, 0, core.Hooks{})
-}
-
 // Collector binds the coordinator to one (job, metric) pair as a
 // core.Collector, so Analyze/AnalyzeToWidth/CheckBatched can consume a
-// remote backend unchanged.
-func (c *Coordinator) Collector(job Job, metric string) core.Collector {
-	return c.CollectorCtx(context.Background(), job, metric)
-}
-
-// CollectorCtx is Collector bound to a context: every Collect the
-// analysis loop issues is cancelled with it. core.Collector has no ctx
-// parameter, so the binding happens here.
-func (c *Coordinator) CollectorCtx(ctx context.Context, job Job, metric string) core.Collector {
+// remote backend unchanged. Every Collect the analysis loop issues is
+// cancelled with ctx: core.Collector has no ctx parameter, so the
+// binding happens here.
+func (c *Coordinator) Collector(ctx context.Context, job Job, metric string) core.Collector {
 	return &metricCollector{c: c, ctx: ctx, job: job, metric: metric}
 }
 
@@ -63,8 +45,10 @@ type metricCollector struct {
 // Collect implements core.Collector. The batch bound is advisory here:
 // in-flight parallelism is governed by each worker's own limit (and the
 // coordinator's for local fallback), which cannot change sample values.
+// The per-run hooks in h are not fired: the coordinator reports every run
+// to its own Observer instead (see Run).
 func (mc *metricCollector) Collect(baseSeed uint64, n, batch int, h core.Hooks) ([]float64, error) {
-	results, err := mc.c.RunCtx(mc.ctx, mc.job, baseSeed, n, adaptHooks(mc.metric, h))
+	results, err := mc.c.Run(mc.ctx, mc.job, baseSeed, n)
 	if err != nil {
 		return nil, err
 	}
@@ -77,23 +61,4 @@ func (mc *metricCollector) Collect(baseSeed uint64, n, batch int, h core.Hooks) 
 		out[i] = v
 	}
 	return out, nil
-}
-
-// adaptHooks projects core's scalar-metric hooks onto the per-run hooks
-// the coordinator fires.
-func adaptHooks(metric string, h core.Hooks) population.RunHooks {
-	var out population.RunHooks
-	if h.OnRunStart != nil {
-		out.OnRunStart = func(i int, seed uint64) { h.OnRunStart(seed) }
-	}
-	if h.OnRunDone != nil {
-		out.OnRunDone = func(i int, seed uint64, res *sim.Result, err error, elapsed time.Duration) {
-			var v float64
-			if res != nil {
-				v = res.Metrics[metric]
-			}
-			h.OnRunDone(seed, v, err, elapsed)
-		}
-	}
-	return out
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/population"
 	"repro/internal/sim"
 )
 
@@ -281,8 +280,8 @@ func newRunState(n int, queue *workQueue) *runState {
 }
 
 // commit installs a dispatch's results and returns the subset that was
-// new — the runs hooks may observe. A nil return means the job already
-// closed (finished or failed) and nothing was committed.
+// new — the runs the coordinator observes. A nil return means the job
+// already closed (finished or failed) and nothing was committed.
 func (st *runState) commit(runs []RunResult) []RunResult {
 	st.mu.Lock()
 	if st.closed {
@@ -339,18 +338,21 @@ func (st *runState) finished() (bool, error) {
 // Run executes n runs with seeds baseSeed+0 … baseSeed+n−1 across the
 // workers and returns the results ordered by seed offset — byte-for-byte
 // the samples a local run would produce, independent of worker count,
-// chunk size, or arrival order. Hooks (may be zero) observe runs as
-// their chunks commit.
-func (c *Coordinator) Run(job Job, baseSeed uint64, n int, h population.RunHooks) ([]RunResult, error) {
-	return c.RunCtx(context.Background(), job, baseSeed, n, h)
-}
-
-// RunCtx is Run with cooperative cancellation: when ctx is cancelled the
-// job fails with the context's error at the next chunk boundary —
-// in-flight runs finish (a simulator run is not interruptible) but no
-// new chunk is dispatched or launched. The campaign service's DELETE
-// and drain paths ride on this.
-func (c *Coordinator) RunCtx(ctx context.Context, job Job, baseSeed uint64, n int, h population.RunHooks) ([]RunResult, error) {
+// chunk size, or arrival order.
+//
+// Every run the coordinator executes in-process or commits from a worker
+// is reported to its Obs exactly once (Observer.RunStarted and RunDone:
+// run counters, the duration histogram, a "sim.run" span and a progress
+// tick), and each Run grows the progress total by n. That makes the
+// coordinator the one place campaign run telemetry comes from, whichever
+// layer — population, adaptive round or sampling pilot — asked for the
+// runs.
+//
+// When ctx is cancelled the job fails with the context's error at the
+// next chunk boundary: in-flight runs finish (a simulator run is not
+// interruptible) but no new chunk is dispatched or launched. The
+// campaign service's DELETE and drain paths ride on this.
+func (c *Coordinator) Run(ctx context.Context, job Job, baseSeed uint64, n int) ([]RunResult, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dist: non-positive run count %d", n)
 	}
@@ -364,6 +366,9 @@ func (c *Coordinator) RunCtx(ctx context.Context, job Job, baseSeed uint64, n in
 	queue := newWorkQueue(n)
 	st := newRunState(n, queue)
 	c.beginJob(job, n)
+	// Totals grow job by job, so an ETA reflects the work discovered so
+	// far (a resumed campaign skips whole populations).
+	c.Obs.P().AddTotal(n)
 
 	span := c.Obs.T().StartSpan("dist.job", obs.Str("benchmark", job.Benchmark),
 		obs.U64("base_seed", baseSeed), obs.Int("runs", n),
@@ -389,7 +394,7 @@ func (c *Coordinator) RunCtx(ctx context.Context, job Job, baseSeed uint64, n in
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			c.workerLoop(addr, job, baseSeed, st, queue, h)
+			c.workerLoop(addr, job, baseSeed, st, queue)
 		}(addr)
 	}
 	allDead := make(chan struct{})
@@ -408,7 +413,7 @@ func (c *Coordinator) RunCtx(ctx context.Context, job Job, baseSeed uint64, n in
 				c.Obs.Logf("dist: no reachable workers, running remaining chunks in-process")
 				c.Obs.T().Event("dist.fallback_local", obs.Int("workers", len(c.Workers)))
 			}
-			c.runLocal(job, baseSeed, st, queue, h)
+			c.runLocal(job, baseSeed, st, queue)
 		}
 	}
 	<-allDead // worker goroutines all observe st.done before returning
@@ -430,7 +435,7 @@ func (c *Coordinator) RunCtx(ctx context.Context, job Job, baseSeed uint64, n in
 // worker after too many consecutive failures). Connecting happens
 // before carving — the advertised parallelism decides how the first
 // chunk is sized.
-func (c *Coordinator) workerLoop(addr string, job Job, baseSeed uint64, st *runState, queue *workQueue, h population.RunHooks) {
+func (c *Coordinator) workerLoop(addr string, job Job, baseSeed uint64, st *runState, queue *workQueue) {
 	hsh := fnv.New64a()
 	hsh.Write([]byte(addr))
 	bo := newBackoff(c.BackoffBase, c.BackoffMax, hsh.Sum64())
@@ -490,7 +495,7 @@ func (c *Coordinator) workerLoop(addr string, job Job, baseSeed uint64, st *runS
 				continue
 			}
 		}
-		err := c.dispatch(cn, job, baseSeed, ch, st, h)
+		err := c.dispatch(cn, job, baseSeed, ch, st)
 		if err == nil {
 			failures = 0
 			continue
@@ -589,7 +594,7 @@ func (c *Coordinator) dial(addr string) (*conn, error) {
 
 // dispatch sends one chunk and consumes its result stream. Errors are
 // transport-level unless wrapped in chunkExecError.
-func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st *runState, h population.RunHooks) error {
+func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st *runState) error {
 	// The job may have completed between carving and here (a slow
 	// duplicate dispatch committing the final offsets): launch nothing —
 	// neither span, ledger increment, nor wire frame.
@@ -688,8 +693,11 @@ func (c *Coordinator) dispatch(cn *conn, job Job, baseSeed uint64, ch *chunk, st
 			c.Obs.M().Counter(obs.MetricDistChunksCompleted).Inc()
 			c.noteWorkerChunk(cn.addr)
 			c.jobStat(func(j *jobState) { j.chunksCompleted++ })
-			if fresh := st.commit(runs); len(fresh) > 0 {
-				fireHooks(job, baseSeed, fresh, h)
+			// Only newly committed offsets are observed: a duplicate
+			// from a racing re-dispatch was already reported.
+			for _, r := range st.commit(runs) {
+				c.Obs.RunStarted()
+				c.Obs.RunDone(job.Benchmark, baseSeed+uint64(r.Offset), r.Cycles, nil, time.Time{}, r.Elapsed)
 			}
 			span.End(obs.Int("results", len(runs)))
 			return nil
@@ -724,7 +732,7 @@ func (c *Coordinator) localSemaphore() chan *sim.Runner {
 // runLocal executes every still-queued chunk in-process — the
 // degradation path, and the whole path when no workers are configured.
 // It uses the same chunk/commit machinery so determinism is shared.
-func (c *Coordinator) runLocal(job Job, baseSeed uint64, st *runState, queue *workQueue, h population.RunHooks) {
+func (c *Coordinator) runLocal(job Job, baseSeed uint64, st *runState, queue *workQueue) {
 	sem := c.localSemaphore()
 	var wg sync.WaitGroup
 	for {
@@ -756,15 +764,15 @@ func (c *Coordinator) runLocal(job Job, baseSeed uint64, st *runState, queue *wo
 				defer func() { sem <- runner }()
 				off := ch.start + i
 				seed := baseSeed + uint64(off)
-				if h.OnRunStart != nil {
-					h.OnRunStart(off, seed)
-				}
+				c.Obs.RunStarted()
 				start := time.Now()
 				res, err := runner.Run(job.Benchmark, job.Config, job.Scale, seed)
 				elapsed := time.Since(start)
-				if h.OnRunDone != nil {
-					h.OnRunDone(off, seed, res, err, elapsed)
+				var cycles uint64
+				if res != nil {
+					cycles = res.Cycles
 				}
+				c.Obs.RunDone(job.Benchmark, seed, cycles, err, start, elapsed)
 				if err != nil {
 					mu.Lock()
 					failed = true
@@ -786,25 +794,6 @@ func (c *Coordinator) runLocal(job Job, baseSeed uint64, st *runState, queue *wo
 				c.jobStat(func(j *jobState) { j.chunksCompleted++ })
 			}
 		}(ch)
-	}
-}
-
-// fireHooks reports a committed remote chunk's runs to the hooks in
-// offset order. Hooks observe only — values and ordering of the returned
-// samples never depend on them.
-func fireHooks(job Job, baseSeed uint64, runs []RunResult, h population.RunHooks) {
-	if h.OnRunStart == nil && h.OnRunDone == nil {
-		return
-	}
-	for _, r := range runs {
-		seed := baseSeed + uint64(r.Offset)
-		if h.OnRunStart != nil {
-			h.OnRunStart(r.Offset, seed)
-		}
-		if h.OnRunDone != nil {
-			res := &sim.Result{Benchmark: job.Benchmark, Cycles: r.Cycles, Metrics: r.Metrics}
-			h.OnRunDone(r.Offset, seed, res, nil, r.Elapsed)
-		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net"
 	"strings"
@@ -92,7 +94,7 @@ func checkPopEqual(t *testing.T, got, want *population.Population) {
 
 func TestNoWorkersRunsLocally(t *testing.T) {
 	c := fastCoord() // zero workers: a purely local runner
-	results, err := c.Run(testJob(), testSeed, 8, population.RunHooks{})
+	results, err := c.Run(context.Background(), testJob(), testSeed, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func TestWorkerCountsByteIdentical(t *testing.T) {
 			addrs[i] = startWorker(t).Addr()
 		}
 		c := fastCoord(addrs...)
-		got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, runs, testSeed, population.RunHooks{})
+		got, err := c.GeneratePopulation(context.Background(), testBench, sim.DefaultConfig(), testScale, runs, testSeed)
 		if err != nil {
 			t.Fatalf("%d workers: %v", nw, err)
 		}
@@ -132,15 +134,15 @@ func TestWorkerCountsByteIdentical(t *testing.T) {
 
 func TestRunRejectsBadJobs(t *testing.T) {
 	c := fastCoord()
-	if _, err := c.Run(testJob(), testSeed, 0, population.RunHooks{}); err == nil {
+	if _, err := c.Run(context.Background(), testJob(), testSeed, 0); err == nil {
 		t.Error("zero runs should error")
 	}
-	if _, err := c.Run(Job{Config: sim.DefaultConfig()}, testSeed, 4, population.RunHooks{}); err == nil {
+	if _, err := c.Run(context.Background(), Job{Config: sim.DefaultConfig()}, testSeed, 4); err == nil {
 		t.Error("missing benchmark should error")
 	}
 	bad := testJob()
 	bad.Config.Cores = -1
-	if _, err := c.Run(bad, testSeed, 4, population.RunHooks{}); err == nil {
+	if _, err := c.Run(context.Background(), bad, testSeed, 4); err == nil {
 		t.Error("invalid config should error")
 	}
 }
@@ -153,7 +155,7 @@ func TestExecErrorAbortsJob(t *testing.T) {
 	} {
 		job := testJob()
 		job.Benchmark = "no-such-benchmark"
-		_, err := c.Run(job, testSeed, 4, population.RunHooks{})
+		_, err := c.Run(context.Background(), job, testSeed, 4)
 		if err == nil {
 			t.Fatalf("%s: unknown benchmark should abort the job", name)
 		}
@@ -176,7 +178,7 @@ func TestUnreachableWorkerFallsBackLocal(t *testing.T) {
 	c := fastCoord(addr)
 	c.MaxWorkerFailures = 2
 	c.Obs = &obs.Observer{Metrics: reg}
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 8, testSeed, population.RunHooks{})
+	got, err := c.GeneratePopulation(context.Background(), testBench, sim.DefaultConfig(), testScale, 8, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +295,7 @@ func TestOutOfOrderResultsCommitInSeedOrder(t *testing.T) {
 	// A long target leaves the tail cap alone to carve 10 runs as
 	// 5+3+1+1, so chunks hold several runs to reverse.
 	c.ChunkTarget = time.Hour
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 10, testSeed, population.RunHooks{})
+	got, err := c.GeneratePopulation(context.Background(), testBench, sim.DefaultConfig(), testScale, 10, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +339,7 @@ func TestWorkerDeathMidChunkRedispatches(t *testing.T) {
 	c.ChunkTarget = time.Hour
 	c.MaxWorkerFailures = 2
 	c.Obs = &obs.Observer{Metrics: reg}
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 12, testSeed, population.RunHooks{})
+	got, err := c.GeneratePopulation(context.Background(), testBench, sim.DefaultConfig(), testScale, 12, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +416,7 @@ func TestMalformedBatchRedispatches(t *testing.T) {
 			c := fastCoord(bad.addr(), healthy.Addr())
 			c.MaxWorkerFailures = 2
 			c.Obs = &obs.Observer{Metrics: reg}
-			got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 12, testSeed, population.RunHooks{})
+			got, err := c.GeneratePopulation(context.Background(), testBench, sim.DefaultConfig(), testScale, 12, testSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -451,47 +453,91 @@ func TestSlowWorkerDuplicateCommitDiscarded(t *testing.T) {
 	c := fastCoord(silent.addr(), healthy.Addr())
 	c.ReadTimeout = 300 * time.Millisecond
 	c.MaxWorkerFailures = 1
-	got, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, 9, testSeed, population.RunHooks{})
+	got, err := c.GeneratePopulation(context.Background(), testBench, sim.DefaultConfig(), testScale, 9, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPopEqual(t, got, localPop(t, 9))
 }
 
+// TestHooksFireOncePerRun: the coordinator reports every committed
+// remote run to its Observer exactly once — one "sim.run" span per seed
+// of the job, carrying the job's benchmark and no error, and none for a
+// seed outside it.
 func TestHooksFireOncePerRun(t *testing.T) {
 	w := startWorker(t)
-	var mu sync.Mutex
-	seen := map[int]int{}
-	h := population.RunHooks{
-		OnRunDone: func(i int, seed uint64, res *sim.Result, err error, elapsed time.Duration) {
-			mu.Lock()
-			seen[i]++
-			mu.Unlock()
-			if seed != testSeed+uint64(i) {
-				t.Errorf("hook for run %d saw seed %d", i, seed)
-			}
-			if err != nil || res == nil || res.Benchmark != testBench {
-				t.Errorf("hook for run %d: res=%v err=%v", i, res, err)
-			}
-		},
-	}
+	trace := &syncBuffer{}
 	c := fastCoord(w.Addr())
-	if _, err := c.Run(testJob(), testSeed, 7, h); err != nil {
+	c.Obs = &obs.Observer{Tracer: obs.NewTracer(trace)}
+	if _, err := c.Run(context.Background(), testJob(), testSeed, 7); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i := 0; i < 7; i++ {
-		if seen[i] != 1 {
-			t.Errorf("run %d hook fired %d times, want exactly 1", i, seen[i])
+	checkRunsObservedOnce(t, trace.Bytes(), 7)
+}
+
+// simRun is one "sim.run" span of a coordinator's trace.
+type simRun struct {
+	Benchmark string
+	Seed      uint64
+	Elapsed   time.Duration
+	Err       string
+}
+
+// simRuns decodes the "sim.run" spans of a JSONL trace.
+func simRuns(t *testing.T, trace []byte) []simRun {
+	t.Helper()
+	var out []simRun
+	for _, line := range bytes.Split(trace, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec struct {
+			Kind  string `json:"kind"`
+			Name  string `json:"name"`
+			DurUS int64  `json:"dur_us"`
+			Attrs struct {
+				Benchmark string `json:"benchmark"`
+				Seed      uint64 `json:"seed"`
+				Error     string `json:"error"`
+			} `json:"attrs"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("bad trace line %s: %v", line, err)
+		}
+		if rec.Kind == "span" && rec.Name == "sim.run" {
+			out = append(out, simRun{Benchmark: rec.Attrs.Benchmark, Seed: rec.Attrs.Seed,
+				Elapsed: time.Duration(rec.DurUS) * time.Microsecond, Err: rec.Attrs.Error})
+		}
+	}
+	return out
+}
+
+// checkRunsObservedOnce asserts a trace holds exactly one successful
+// testBench "sim.run" span for each seed testSeed+0 … testSeed+runs−1
+// and no other.
+func checkRunsObservedOnce(t *testing.T, trace []byte, runs int) {
+	t.Helper()
+	seen := map[uint64]int{}
+	for _, r := range simRuns(t, trace) {
+		seen[r.Seed]++
+		if r.Benchmark != testBench || r.Err != "" {
+			t.Errorf("sim.run span for seed %d: benchmark %q, error %q", r.Seed, r.Benchmark, r.Err)
+		}
+		if r.Seed < testSeed || r.Seed >= testSeed+uint64(runs) {
+			t.Errorf("sim.run span for seed %d outside the job's range", r.Seed)
+		}
+	}
+	for i := 0; i < runs; i++ {
+		if n := seen[testSeed+uint64(i)]; n != 1 {
+			t.Errorf("run %d observed %d times, want exactly 1", i, n)
 		}
 	}
 }
 
-func TestDistCollectMatchesLocalSamples(t *testing.T) {
+func TestCollectorMatchesLocalSamples(t *testing.T) {
 	w := startWorker(t)
 	c := fastCoord(w.Addr())
-	got, err := c.DistCollect(testJob(), sim.MetricRuntime, testSeed, 10)
+	got, err := c.Collector(context.Background(), testJob(), sim.MetricRuntime).Collect(testSeed, 10, 0, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,19 +555,19 @@ func TestDistCollectMatchesLocalSamples(t *testing.T) {
 func TestCollectorRejectsMissingMetric(t *testing.T) {
 	w := startWorker(t)
 	c := fastCoord(w.Addr())
-	_, err := c.DistCollect(testJob(), "no-such-metric", testSeed, 4)
+	_, err := c.Collector(context.Background(), testJob(), "no-such-metric").Collect(testSeed, 4, 0, core.Hooks{})
 	if err == nil || !strings.Contains(err.Error(), "no-such-metric") {
 		t.Errorf("missing metric should error by name, got %v", err)
 	}
 }
 
-func TestAnalyzeWithDistCollector(t *testing.T) {
+func TestAnalyzeWithCoordinatorCollector(t *testing.T) {
 	w := startWorker(t)
 	c := fastCoord(w.Addr())
 	p := core.Params{F: 0.5, C: 0.9}
 	opts := core.Options{Samples: 40, BaseSeed: testSeed}
 
-	distA, err := core.AnalyzeWith(c.Collector(testJob(), sim.MetricRuntime), p, opts)
+	distA, err := core.AnalyzeWith(c.Collector(context.Background(), testJob(), sim.MetricRuntime), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,15 @@
 // so a distributed campaign is byte-identical to a local one for any
 // worker count, chunk size, or arrival order.
 //
+// The API has one entry point per operation, each taking the context
+// that cancels it: Coordinator.Run for raw results, GeneratePopulation
+// for a population, and Collector for a core.Collector bound to one
+// metric. The coordinator is also where runs are observed: every run it
+// executes in-process or commits from a worker is reported exactly once
+// to its Obs (counters, duration histogram, a "sim.run" span, a
+// progress tick), whichever layer asked for it — a campaign population,
+// an adaptive refinement round, or a sampling pilot block.
+//
 // Topology: a Coordinator (the campaign process) connects out to one or
 // more Worker servers (cmd/spaworker). The wire protocol is
 // newline-delimited JSON frames over a plain TCP connection — stdlib

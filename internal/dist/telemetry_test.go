@@ -1,13 +1,13 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"net"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/population"
 )
 
 // TestWorkerTelemetryFoldsIntoLabeledGauges runs a real two-connection
@@ -26,7 +26,7 @@ func TestWorkerTelemetryFoldsIntoLabeledGauges(t *testing.T) {
 	coord.Obs = &obs.Observer{Metrics: reg}
 
 	const runs = 12
-	results, err := coord.Run(testJob(), testSeed, runs, population.RunHooks{})
+	results, err := coord.Run(context.Background(), testJob(), testSeed, runs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@ import (
 // Result batching: completed runs accumulate into one columnar
 // result_batch frame, flushed every batchRuns runs, at chunk end, on the
 // rare metric key-set change, and at least every batchFlush so a slow
-// trickle of results still reaches the coordinator — and its progress
-// hooks — promptly.
+// trickle of results still reaches the coordinator — and its run
+// telemetry — promptly.
 const (
 	batchRuns  = 64
 	batchFlush = 25 * time.Millisecond

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -465,7 +466,7 @@ func TestWorkerShutdownMidJob(t *testing.T) {
 	popCh := make(chan *population.Population, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		p, err := c.GeneratePopulation(testBench, sim.DefaultConfig(), testScale, runs, testSeed, population.RunHooks{})
+		p, err := c.GeneratePopulation(context.Background(), testBench, sim.DefaultConfig(), testScale, runs, testSeed)
 		popCh <- p
 		errCh <- err
 	}()

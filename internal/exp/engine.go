@@ -6,6 +6,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/ci"
 	"repro/internal/core"
+	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/popcache"
 	"repro/internal/population"
@@ -102,11 +104,12 @@ func (v Variant) Config() sim.Config {
 }
 
 // Engine caches benchmark populations across figures so each campaign is
-// simulated once.
+// simulated once. Populations are generated through a manifest.Runner,
+// the one path every CLI shares: its coordinator runs (and observes)
+// the simulations and its PopCache, when set, serves and stores them.
 type Engine struct {
-	opts  Options
-	obs   *obs.Observer
-	cache *popcache.Cache
+	opts   Options
+	runner manifest.Runner
 
 	mu   sync.Mutex
 	pops map[string]*popEntry
@@ -124,15 +127,17 @@ type popEntry struct {
 // SetObserver attaches campaign telemetry: per-simulation spans/counters
 // during population generation, per-evaluation spans, and trial counters.
 // Telemetry never touches the trial or simulation RNG streams, so results
-// are identical with or without it.
-func (e *Engine) SetObserver(o *obs.Observer) { e.obs = o }
+// are identical with or without it. Call it before the first population
+// is generated: the runner's coordinator keeps the observer it started
+// with.
+func (e *Engine) SetObserver(o *obs.Observer) { e.runner.Obs = o }
 
 // SetPopCache attaches a content-addressed population cache consulted
 // before any campaign is simulated. Because cache keys cover the complete
 // generation recipe and entries are byte-identical to fresh generation, an
 // engine with a warm cache produces exactly the figures a cold one would —
 // just without re-simulating. A nil cache (the default) disables the layer.
-func (e *Engine) SetPopCache(c *popcache.Cache) { e.cache = c }
+func (e *Engine) SetPopCache(c *popcache.Cache) { e.runner.PopCache = c }
 
 // NewEngine builds an engine. Zero-valued option fields are filled from
 // DefaultOptions.
@@ -162,7 +167,7 @@ func NewEngine(opts Options) *Engine {
 	if opts.Seed == 0 {
 		opts.Seed = def.Seed
 	}
-	return &Engine{opts: opts, pops: make(map[string]*popEntry)}
+	return &Engine{opts: opts, runner: manifest.Runner{Parallelism: opts.Parallelism}, pops: make(map[string]*popEntry)}
 }
 
 // Options returns the engine's effective options.
@@ -187,26 +192,13 @@ func (e *Engine) Population(bench string, v Variant) (*population.Population, er
 	}
 	e.mu.Unlock()
 	entry.once.Do(func() {
-		ck := popcache.Key{
+		entry.pop, _, entry.err = e.runner.Population(context.TODO(), bench+"/"+v.String(), popcache.Key{
 			Benchmark: bench,
 			Config:    v.Config(),
 			Scale:     e.opts.Scale,
 			BaseSeed:  e.opts.Seed*1_000_003 + uint64(v)*1009,
 			Runs:      runs,
-		}
-		if pop := e.cache.Get(ck); pop != nil {
-			e.obs.Logf("population cache hit for %s/%s: %d runs", bench, v, runs)
-			entry.pop = pop
-			return
-		}
-		e.obs.Logf("simulating %s/%s: %d runs", bench, v, runs)
-		e.obs.P().AddTotal(runs)
-		entry.pop, entry.err = population.GenerateHooked(bench, v.Config(), e.opts.Scale, runs,
-			ck.BaseSeed, e.opts.Parallelism,
-			population.ObserverHooks(e.obs, bench))
-		if entry.err == nil {
-			_ = e.cache.Put(ck, entry.pop)
-		}
+		})
 	})
 	return entry.pop, entry.err
 }
@@ -355,7 +347,7 @@ func (e *Engine) trialSamples(f, c float64) (int, error) {
 // CI from the same draw, and coverage of the population ground truth and
 // widths are tallied.
 func (e *Engine) EvaluateCI(pop *population.Population, metric string, f, c float64, methods []Method) ([]MethodEval, error) {
-	span := e.obs.T().StartSpan("exp.evaluate_ci",
+	span := e.runner.Obs.T().StartSpan("exp.evaluate_ci",
 		obs.Str("benchmark", pop.Benchmark), obs.Str("metric", metric),
 		obs.F64("f", f), obs.F64("c", c), obs.Int("trials", e.opts.Trials))
 	defer span.End()
@@ -449,7 +441,7 @@ func (e *Engine) EvaluateCI(pop *population.Population, metric string, f, c floa
 		return nil, firstErr
 	}
 	if len(evals) > 0 {
-		e.obs.M().Counter(obs.MetricTrials).Add(int64(evals[0].Trials))
+		e.runner.Obs.M().Counter(obs.MetricTrials).Add(int64(evals[0].Trials))
 	}
 	for i := range evals {
 		widthSum := 0.0

@@ -125,7 +125,10 @@ type Runner struct {
 	// Coord, when non-nil, replaces the runner's own lazily-created
 	// coordinator — the campaign service shares one coordinator (and with
 	// it the worker fleet, its telemetry, and the local parallelism
-	// bound) across every tenant's campaigns.
+	// bound) across every tenant's campaigns. Workers and Dial are
+	// ignored when Coord is set: the coordinator carries its own fleet,
+	// dialer and local parallelism bound, and reports runs to its own
+	// Obs.
 	Coord *dist.Coordinator
 	// Hooks receive per-entry and per-analysis progress callbacks.
 	Hooks Hooks
@@ -382,7 +385,7 @@ func (r *Runner) analyzeAdaptive(ctx context.Context, m *Manifest, e Entry, idx 
 	}
 	baseSeed := m.Seed + uint64(idx)*1_000_000
 	job := dist.Job{Benchmark: e.Benchmark, Config: cfg, Scale: scale}
-	var col core.Collector = r.Coordinator().CollectorCtx(ctx, job, a.Metric)
+	var col core.Collector = r.Coordinator().Collector(ctx, job, a.Metric)
 	dcol, err := r.DesignCollector(ctx, job, a, col)
 	if err != nil {
 		return fail(err)
@@ -435,12 +438,11 @@ func (r *Runner) analyzeAdaptive(ctx context.Context, m *Manifest, e Entry, idx 
 // DesignCollector wraps full — the analysis's full-scale collector for
 // job — in the analysis's variance-reduction design (falling back to the
 // runner's Sampling default), or returns nil when the effective design
-// is plain. The pilot pass runs the same benchmark at a reduced scale
-// through the shared coordinator, with its block populations cached
-// under plain popcache recipes (shared with anything else running that
-// scale) and the cumulative measured population cached under the design
-// recipe — so a repeated campaign re-ranks and re-selects without
-// simulating.
+// is plain. The pilot pass fetches each block of the same benchmark at a
+// reduced scale through Population — the full plain population of that
+// recipe, shared with anything else running that scale — and the
+// cumulative measured population is cached under the design recipe, so
+// a repeated campaign re-ranks and re-selects without simulating.
 func (r *Runner) DesignCollector(ctx context.Context, job dist.Job, a Analysis, full core.Collector) (*sampling.Collector, error) {
 	s := a.Sampling
 	if s == "" {
@@ -450,24 +452,13 @@ func (r *Runner) DesignCollector(ctx context.Context, job dist.Job, a Analysis, 
 	if err != nil || design == sampling.Plain {
 		return nil, err
 	}
-	pilotJob := job
-	pilotJob.Scale = a.PilotScale
-	if pilotJob.Scale == 0 {
-		pilotJob.Scale = job.Scale / 2
+	pilotScale := a.PilotScale
+	if pilotScale == 0 {
+		pilotScale = job.Scale / 2
 	}
-	pilotCol := r.Coordinator().CollectorCtx(ctx, pilotJob, a.Metric)
-	// Pilot runs are design overhead, not campaign samples, so no hooks
-	// count them as campaign runs.
 	pilot := func(baseSeed uint64, n int) ([]float64, error) {
-		key := popcache.Key{Benchmark: job.Benchmark, Config: job.Config, Scale: pilotJob.Scale, BaseSeed: baseSeed, Runs: n}
-		pop, _, err := r.PopCache.GetOrGenerate(key, func() (*population.Population, error) {
-			vals, err := pilotCol.Collect(baseSeed, n, r.Parallelism, core.Hooks{})
-			if err != nil {
-				return nil, err
-			}
-			return &population.Population{Benchmark: job.Benchmark, Runs: len(vals), BaseSeed: baseSeed,
-				Metrics: map[string][]float64{a.Metric: vals}}, nil
-		})
+		key := popcache.Key{Benchmark: job.Benchmark, Config: job.Config, Scale: pilotScale, BaseSeed: baseSeed, Runs: n}
+		pop, _, err := r.Population(ctx, job.Benchmark+" pilot", key)
 		if err != nil {
 			return nil, err
 		}
@@ -486,13 +477,14 @@ func (r *Runner) DesignCollector(ctx context.Context, job dist.Job, a Analysis, 
 		Metric:     a.Metric,
 		Cache:      r.PopCache,
 		Recipe: popcache.Key{Benchmark: job.Benchmark, Config: job.Config, Scale: job.Scale,
-			PilotScale: pilotJob.Scale, ProxyMetric: a.Metric},
+			PilotScale: pilotScale, ProxyMetric: a.Metric},
 	}, full, pilot)
 }
 
 // loadOrGenerate resumes an entry's population from its OutDir file or
 // produces it through Population, then writes the file for later
-// resumes. reused marks the resume and cache-hit paths.
+// resumes. reused marks the resume and cache-hit paths, the only ones
+// counted as reused entries.
 func (r *Runner) loadOrGenerate(ctx context.Context, m *Manifest, e Entry, idx int, scale float64) (*population.Population, bool, error) {
 	path := r.popPath(m, e)
 	if f, err := os.Open(path); err == nil {
@@ -523,6 +515,10 @@ func (r *Runner) loadOrGenerate(ctx context.Context, m *Manifest, e Entry, idx i
 	if err != nil {
 		return nil, false, err
 	}
+	if hit {
+		r.Obs.M().Counter(obs.MetricEntriesReused).Inc()
+		r.Obs.T().Event("campaign.cache_hit", obs.Str("entry", e.key()), obs.Int("runs", pop.Runs))
+	}
 	if err := WriteFileAtomic(path, pop.Save); err != nil {
 		return nil, false, err
 	}
@@ -532,26 +528,18 @@ func (r *Runner) loadOrGenerate(ctx context.Context, m *Manifest, e Entry, idx i
 // Population returns the population recipe k describes: served from
 // the PopCache when it holds the recipe (hit is true), otherwise
 // simulated through the shared coordinator — across the workers when
-// configured, in-process otherwise — and stored in the cache. label
-// names the population in progress lines and trace events.
+// configured, in-process otherwise — and stored in the cache. The
+// coordinator reports every simulated run to its Observer. label names
+// the population in progress lines.
 func (r *Runner) Population(ctx context.Context, label string, k popcache.Key) (pop *population.Population, hit bool, err error) {
-	if pop := r.PopCache.Get(k); pop != nil {
+	pop, hit, err = r.PopCache.GetOrGenerate(k, func() (*population.Population, error) {
+		r.logf("simulating %s: %d runs at scale %g", label, k.Runs, k.Scale)
+		return r.Coordinator().GeneratePopulation(ctx, k.Benchmark, k.Config, k.Scale, k.Runs, k.BaseSeed)
+	})
+	if hit {
 		r.logf("population cache hit for %s (%d runs)", label, pop.Runs)
-		r.Obs.M().Counter(obs.MetricEntriesReused).Inc()
-		r.Obs.T().Event("campaign.cache_hit", obs.Str("entry", label), obs.Int("runs", pop.Runs))
-		return pop, true, nil
 	}
-	r.logf("simulating %s: %d runs at scale %g", label, k.Runs, k.Scale)
-	// Totals grow population by population (resume skips entries), so
-	// ETA reflects the work discovered so far.
-	r.Obs.P().AddTotal(k.Runs)
-	pop, err = r.Coordinator().GeneratePopulationCtx(ctx, k.Benchmark, k.Config, k.Scale, k.Runs, k.BaseSeed,
-		population.ObserverHooks(r.Obs, k.Benchmark))
-	if err != nil {
-		return nil, false, err
-	}
-	_ = r.PopCache.Put(k, pop)
-	return pop, false, nil
+	return pop, hit, err
 }
 
 // Render writes the report as an aligned text table.

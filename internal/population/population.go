@@ -14,9 +14,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/randx"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -31,49 +29,19 @@ type Population struct {
 	Metrics   map[string][]float64 `json:"metrics"`
 }
 
-// RunHooks are optional per-execution callbacks for GenerateHooked, the
-// attachment points for the observability layer. Either field may be nil;
-// both may be called from many goroutines concurrently. Hooks only
-// observe — the simulation RNG is seeded before they fire, so telemetry
-// cannot perturb determinism.
-type RunHooks struct {
-	OnRunStart func(i int, seed uint64)
-	OnRunDone  func(i int, seed uint64, res *sim.Result, err error, elapsed time.Duration)
-}
-
-// ObserverHooks adapts an obs.Observer into RunHooks: run counters, the
-// duration histogram, a progress tick and a "sim.run" span per execution.
-// A nil observer yields zero hooks.
-func ObserverHooks(o *obs.Observer, benchmark string) RunHooks {
-	if o == nil {
-		return RunHooks{}
-	}
-	return RunHooks{
-		OnRunStart: func(i int, seed uint64) { o.RunStarted() },
-		OnRunDone: func(i int, seed uint64, res *sim.Result, err error, elapsed time.Duration) {
-			var cycles uint64
-			if res != nil {
-				cycles = res.Cycles
-			}
-			o.RunDone(benchmark, seed, cycles, err, time.Time{}, elapsed)
-		},
-	}
-}
-
 // Generate runs the benchmark `runs` times with seeds baseSeed+i on the
 // given configuration, in parallel (parallelism ≤ 0 selects GOMAXPROCS),
 // and collects every scalar metric. Results are ordered by seed offset.
-func Generate(benchmark string, cfg sim.Config, scale float64, runs int, baseSeed uint64, parallelism int) (*Population, error) {
-	return GenerateHooked(benchmark, cfg, scale, runs, baseSeed, parallelism, RunHooks{})
-}
-
-// GenerateHooked is Generate with per-execution observability callbacks.
+//
+// It is the dependency-free reference generator: campaigns and the CLIs
+// generate through internal/dist's coordinator, which also observes every
+// run, and the dist and popcache tests compare against this.
 //
 // Runs execute on a fixed pool of workers, each owning one reusable
 // sim.Runner arena: run i always computes from seed baseSeed+i into slot i,
 // so results are independent of which worker picks up which run, and each
 // worker's machine allocations are paid once rather than per run.
-func GenerateHooked(benchmark string, cfg sim.Config, scale float64, runs int, baseSeed uint64, parallelism int, h RunHooks) (*Population, error) {
+func Generate(benchmark string, cfg sim.Config, scale float64, runs int, baseSeed uint64, parallelism int) (*Population, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("population: non-positive run count %d", runs)
 	}
@@ -83,7 +51,6 @@ func GenerateHooked(benchmark string, cfg sim.Config, scale float64, runs int, b
 	if parallelism > runs {
 		parallelism = runs
 	}
-	observed := h.OnRunStart != nil || h.OnRunDone != nil
 	results := make([]*sim.Result, runs)
 	errs := make([]error, runs)
 	indices := make(chan int)
@@ -94,19 +61,7 @@ func GenerateHooked(benchmark string, cfg sim.Config, scale float64, runs int, b
 			defer wg.Done()
 			runner := sim.NewRunner()
 			for i := range indices {
-				seed := baseSeed + uint64(i)
-				if !observed {
-					results[i], errs[i] = runner.Run(benchmark, cfg, scale, seed)
-					continue
-				}
-				if h.OnRunStart != nil {
-					h.OnRunStart(i, seed)
-				}
-				start := time.Now()
-				results[i], errs[i] = runner.Run(benchmark, cfg, scale, seed)
-				if h.OnRunDone != nil {
-					h.OnRunDone(i, seed, results[i], errs[i], time.Since(start))
-				}
+				results[i], errs[i] = runner.Run(benchmark, cfg, scale, baseSeed+uint64(i))
 			}
 		}()
 	}
