@@ -13,7 +13,7 @@
 //     journaled campaign state machine
 //     (queued → running → done/failed/cancelled).
 //   - journal (journal.go): crash-safe persistence of Records through
-//     manifest.WriteFileAtomic, one directory per campaign holding
+//     population.WriteFileAtomic, one directory per campaign holding
 //     campaign.json next to the runner's population/report artifacts, so
 //     the campaign's resume state and its data live and die together.
 //   - scheduler (sched.go): deficit round robin across tenants — each

@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/manifest"
+	"repro/internal/population"
 )
 
 // recordFile is the journal file inside each campaign directory.
@@ -22,7 +22,7 @@ const recordFile = "campaign.json"
 //	<dir>/<id>/<name>-report.json      the final report
 //	<dir>/<id>/<name>-telemetry.jsonl  convergence journal (adaptive)
 //
-// Every write goes through manifest.WriteFileAtomic, so a crash mid-save
+// Every write goes through population.WriteFileAtomic, so a crash mid-save
 // leaves the previous consistent state, never a truncated record — the
 // same guarantee the runner's population files already have, which is
 // what makes kill-anywhere resume safe.
@@ -41,7 +41,7 @@ func (j journal) save(rec *Record) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return manifest.WriteFileAtomic(filepath.Join(dir, recordFile), func(w io.Writer) error {
+	return population.WriteFileAtomic(filepath.Join(dir, recordFile), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")
 		return enc.Encode(rec)

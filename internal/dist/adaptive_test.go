@@ -82,9 +82,15 @@ func countingDial(fc *frameCounter) DialFunc {
 func TestV3FleetStreamsBatches(t *testing.T) {
 	const runs = 24
 	want := localPop(t, runs)
-	w := startWorker(t)
+	// The timed flush is held off far past the test's runtime: under
+	// -race one run can outlast batchFlush, so every tick would ship a
+	// batch of one or two runs and the frame count below would measure
+	// the race detector's slowdown. Batches then end only at batchRuns or
+	// at chunk end, which is what this test is about. The chaos soak's
+	// 5 ms flushEvery keeps the timed flush exercised.
+	addr := startWorkerWith(t, &Worker{Parallelism: 2, HeartbeatEvery: 50 * time.Millisecond, flushEvery: time.Hour})
 	fc := &frameCounter{}
-	c := fastCoord(w.Addr())
+	c := fastCoord(addr)
 	c.ChunkTarget = 100 * time.Millisecond
 	c.Dial = countingDial(fc)
 	got, err := c.GeneratePopulation(context.Background(), testBench, sim.DefaultConfig(), testScale, runs, testSeed)

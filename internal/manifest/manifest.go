@@ -1,9 +1,9 @@
 // Package manifest provides declarative experiment campaigns: a JSON
 // manifest names the benchmark/variant populations to simulate and the SPA
 // analyses to run on them, and the runner executes it with resume support
-// (populations already on disk are loaded, not re-simulated). This is the
-// reproducible-workflow layer the paper points to in Sec. 7 (gem5art) as
-// the natural companion of SPA.
+// (populations already on disk for the same recipe are loaded, not
+// re-simulated). This is the reproducible-workflow layer the paper points
+// to in Sec. 7 (gem5art) as the natural companion of SPA.
 package manifest
 
 import (
@@ -13,6 +13,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/popcache"
 	"repro/internal/sampling"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -155,6 +156,30 @@ type Manifest struct {
 	Runs     int        `json:"runs,omitempty"`
 	Entries  []Entry    `json:"entries"`
 	Analyses []Analysis `json:"analyses"`
+}
+
+// EntryRecipe is the population recipe of entry idx: its benchmark and
+// configuration at the campaign scale, seeded from Seed + idx*1_000_000,
+// with the entry's run count falling back to the manifest's. Population
+// files, adaptive seed ranges and scheduling costs all derive from it.
+func (m *Manifest) EntryRecipe(idx int) (popcache.Key, error) {
+	e := m.Entries[idx]
+	cfg, err := e.Config()
+	if err != nil {
+		return popcache.Key{}, err
+	}
+	k := popcache.Key{Benchmark: e.Benchmark, Config: cfg, Scale: m.Scale,
+		BaseSeed: m.Seed + uint64(idx)*1_000_000, Runs: e.Runs}
+	if k.Scale == 0 {
+		k.Scale = 1.0
+	}
+	if k.Runs <= 0 {
+		k.Runs = m.Runs
+	}
+	if k.Runs <= 0 {
+		k.Runs = 100
+	}
+	return k, nil
 }
 
 // Load parses a manifest and validates it.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -89,8 +90,8 @@ type Hooks struct {
 
 // Runner executes manifests.
 type Runner struct {
-	// OutDir receives per-entry population JSONs and the report; it is
-	// created if missing.
+	// OutDir receives per-entry population files (popcache entries, see
+	// popcache.WriteFile) and the report; it is created if missing.
 	OutDir string
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
@@ -207,10 +208,6 @@ func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 	if err := os.MkdirAll(r.OutDir, 0o755); err != nil {
 		return nil, err
 	}
-	scale := m.Scale
-	if scale == 0 {
-		scale = 1.0
-	}
 	report := &Report{Name: m.Name}
 	campaign := r.Obs.T().StartSpan("campaign", obs.Str("name", m.Name),
 		obs.Int("entries", len(m.Entries)), obs.Int("analyses", len(m.Analyses)))
@@ -221,10 +218,14 @@ func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("manifest: campaign interrupted before entry %s: %w", e.key(), err)
 		}
+		k, err := m.EntryRecipe(i)
+		if err != nil {
+			return nil, fmt.Errorf("manifest: entry %s: %w", e.key(), err)
+		}
 		if r.Hooks.OnEntryStart != nil {
 			r.Hooks.OnEntryStart(i, e.key())
 		}
-		pop, reused, err := r.loadOrGenerate(ctx, m, e, i, scale)
+		pop, reused, err := r.loadOrGenerate(ctx, r.popPath(m, e), e.key(), k)
 		if r.Hooks.OnEntryDone != nil {
 			r.Hooks.OnEntryDone(i, e.key(), reused, err)
 		}
@@ -240,7 +241,7 @@ func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 			}
 			var res AnalysisResult
 			if a.Adaptive() {
-				res = r.analyzeAdaptive(ctx, m, e, i, scale, a)
+				res = r.analyzeAdaptive(ctx, e, k, a)
 				if res.Err != "" && ctx.Err() != nil {
 					// A cancelled adaptive collection is an interruption,
 					// not a campaign result.
@@ -258,7 +259,7 @@ func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 	}
 
 	if len(journal) > 0 {
-		err := WriteFileAtomic(r.TelemetryPath(m), func(w io.Writer) error {
+		err := population.WriteFileAtomic(r.TelemetryPath(m), func(w io.Writer) error {
 			enc := json.NewEncoder(w)
 			for _, rec := range journal {
 				if err := enc.Encode(rec); err != nil {
@@ -273,7 +274,7 @@ func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 		r.logf("convergence journal written to %s", r.TelemetryPath(m))
 	}
 
-	err := WriteFileAtomic(r.ReportPath(m), func(w io.Writer) error {
+	err := population.WriteFileAtomic(r.ReportPath(m), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")
 		return enc.Encode(report)
@@ -283,36 +284,6 @@ func (r *Runner) RunContext(ctx context.Context, m *Manifest) (*Report, error) {
 	}
 	r.logf("report written to %s", r.ReportPath(m))
 	return report, nil
-}
-
-// WriteFileAtomic writes via a temp file in the same directory and
-// renames it into place, propagating Close errors — so a short write (a
-// full disk, a crash mid-campaign) never leaves a truncated file that
-// the resume path would later load as a valid population.
-func WriteFileAtomic(path string, write func(io.Writer) error) error {
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := write(f); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // analyze runs one analysis on an entry's population, recording a span
@@ -358,7 +329,7 @@ func (r *Runner) analyze(e Entry, a Analysis, pop *population.Population) Analys
 // the target width, recording a convergence round — trace event, labeled
 // gauges, journal record — per refinement step. Seeds are the entry's
 // own base-seed range, so the trajectory is replicable run to run.
-func (r *Runner) analyzeAdaptive(ctx context.Context, m *Manifest, e Entry, idx int, scale float64, a Analysis) AnalysisResult {
+func (r *Runner) analyzeAdaptive(ctx context.Context, e Entry, k popcache.Key, a Analysis) AnalysisResult {
 	res := AnalysisResult{
 		Entry: e.key(), Metric: a.Metric, F: a.F, C: a.C,
 		Direction: a.Direction, TargetWidth: a.TargetWidth,
@@ -379,12 +350,7 @@ func (r *Runner) analyzeAdaptive(ctx context.Context, m *Manifest, e Entry, idx 
 	if err != nil {
 		return fail(err)
 	}
-	cfg, err := e.Config()
-	if err != nil {
-		return fail(err)
-	}
-	baseSeed := m.Seed + uint64(idx)*1_000_000
-	job := dist.Job{Benchmark: e.Benchmark, Config: cfg, Scale: scale}
+	job := dist.Job{Benchmark: k.Benchmark, Config: k.Config, Scale: k.Scale}
 	var col core.Collector = r.Coordinator().Collector(ctx, job, a.Metric)
 	dcol, err := r.DesignCollector(ctx, job, a, col)
 	if err != nil {
@@ -412,7 +378,7 @@ func (r *Runner) analyzeAdaptive(ctx context.Context, m *Manifest, e Entry, idx 
 	an, err := core.AnalyzeToWidthWith(col, p, core.WidthOptions{
 		TargetWidth: a.TargetWidth, GrowBatch: a.GrowBatch,
 		MaxSamples: a.MaxSamples, Batch: r.Parallelism,
-		BaseSeed: baseSeed, Hooks: hooks,
+		BaseSeed: k.BaseSeed, Hooks: hooks,
 	})
 	switch {
 	case err == nil:
@@ -481,45 +447,30 @@ func (r *Runner) DesignCollector(ctx context.Context, job dist.Job, a Analysis, 
 	}, full, pilot)
 }
 
-// loadOrGenerate resumes an entry's population from its OutDir file or
-// produces it through Population, then writes the file for later
-// resumes. reused marks the resume and cache-hit paths, the only ones
-// counted as reused entries.
-func (r *Runner) loadOrGenerate(ctx context.Context, m *Manifest, e Entry, idx int, scale float64) (*population.Population, bool, error) {
-	path := r.popPath(m, e)
-	if f, err := os.Open(path); err == nil {
-		defer f.Close()
-		pop, err := population.Load(f)
-		if err != nil {
-			return nil, false, fmt.Errorf("resuming from %s: %w", path, err)
-		}
+// loadOrGenerate resumes an entry's population from its OutDir file at
+// path when that file holds recipe k, or produces it through Population
+// and writes the file; any other file fails the entry, never overwritten.
+// reused marks the resume and cache-hit paths.
+func (r *Runner) loadOrGenerate(ctx context.Context, path, label string, k popcache.Key) (*population.Population, bool, error) {
+	pop, err := popcache.ReadFile(path, k)
+	if err == nil {
 		r.logf("reusing %s (%d runs)", path, pop.Runs)
 		r.Obs.M().Counter(obs.MetricEntriesReused).Inc()
-		r.Obs.T().Event("campaign.reused", obs.Str("entry", e.key()), obs.Int("runs", pop.Runs))
+		r.Obs.T().Event("campaign.reused", obs.Str("entry", label), obs.Int("runs", pop.Runs))
 		return pop, true, nil
 	}
-	cfg, err := e.Config()
-	if err != nil {
-		return nil, false, err
+	if !errors.Is(err, fs.ErrNotExist) {
+		return nil, false, fmt.Errorf("resuming from %s: %w", path, err)
 	}
-	runs := e.Runs
-	if runs <= 0 {
-		runs = m.Runs
-	}
-	if runs <= 0 {
-		runs = 100
-	}
-	baseSeed := m.Seed + uint64(idx)*1_000_000
-	k := popcache.Key{Benchmark: e.Benchmark, Config: cfg, Scale: scale, BaseSeed: baseSeed, Runs: runs}
-	pop, hit, err := r.Population(ctx, e.key(), k)
+	pop, hit, err := r.Population(ctx, label, k)
 	if err != nil {
 		return nil, false, err
 	}
 	if hit {
 		r.Obs.M().Counter(obs.MetricEntriesReused).Inc()
-		r.Obs.T().Event("campaign.cache_hit", obs.Str("entry", e.key()), obs.Int("runs", pop.Runs))
+		r.Obs.T().Event("campaign.cache_hit", obs.Str("entry", label), obs.Int("runs", pop.Runs))
 	}
-	if err := WriteFileAtomic(path, pop.Save); err != nil {
+	if err := popcache.WriteFile(path, k, pop); err != nil {
 		return nil, false, err
 	}
 	return pop, hit, nil

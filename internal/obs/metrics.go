@@ -69,13 +69,13 @@ const (
 	// inflight_full|server_full), live queue depth and running gauges,
 	// terminal transitions (state=done|failed|cancelled), campaigns
 	// resumed from the journal after a restart, and per-entry progress.
-	MetricCampaignSubmitted   = "spa_campaignd_submitted_total"     // {tenant}
-	MetricCampaignRejected    = "spa_campaignd_rejected_total"      // {tenant,reason}
-	MetricCampaignQueueDepth  = "spa_campaignd_queue_depth"         // {tenant}
-	MetricCampaignRunning     = "spa_campaignd_running"             // {tenant}
-	MetricCampaignDone        = "spa_campaignd_campaigns_total"     // {tenant,state}
-	MetricCampaignResumed     = "spa_campaignd_resumed_total"       // {tenant}
-	MetricCampaignEntriesDone = "spa_campaignd_entries_done_total"  // {tenant}
+	MetricCampaignSubmitted   = "spa_campaignd_submitted_total"    // {tenant}
+	MetricCampaignRejected    = "spa_campaignd_rejected_total"     // {tenant,reason}
+	MetricCampaignQueueDepth  = "spa_campaignd_queue_depth"        // {tenant}
+	MetricCampaignRunning     = "spa_campaignd_running"            // {tenant}
+	MetricCampaignDone        = "spa_campaignd_campaigns_total"    // {tenant,state}
+	MetricCampaignResumed     = "spa_campaignd_resumed_total"      // {tenant}
+	MetricCampaignEntriesDone = "spa_campaignd_entries_done_total" // {tenant}
 	MetricCampaignSchedPasses = "spa_campaignd_scheduler_passes_total"
 )
 

@@ -10,9 +10,9 @@
 // "never re-execute what you already know".
 //
 // Hits are served from an in-memory LRU first and, when a directory is
-// configured, from an on-disk JSON store second. Disk writes go through a
-// temp-file + rename, so concurrent writers of the same entry are safe and
-// readers never observe a torn file.
+// configured, from an on-disk store second. WriteFile and ReadFile own the
+// one verified population file format, which campaign resume files share:
+// written atomically, and never served for a recipe it does not hold.
 package popcache
 
 import (
@@ -20,7 +20,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -201,7 +203,7 @@ func (c *Cache) Get(k Key) *population.Population {
 	c.mu.Unlock()
 
 	if c.dir != "" {
-		if pop := c.loadDisk(hash, k); pop != nil {
+		if pop, err := ReadFile(c.path(hash), k); err == nil {
 			c.mu.Lock()
 			c.insert(hash, pop)
 			c.stats.DiskHits++
@@ -230,83 +232,78 @@ func (c *Cache) Put(k Key, pop *population.Population) error {
 	if c.dir == "" {
 		return nil
 	}
-	return c.storeDisk(hash, k, pop)
-}
-
-// diskHeader is the first line of an on-disk entry; the rest of the
-// file is the payload, the population's compact JSON. The recipe rides
-// along so hash collisions (or hand-edited files) are detected by
-// comparing the recipe, not trusted from the filename, and Digest is the
-// hex SHA-256 of the payload bytes exactly as stored, so a flipped byte
-// in a metric value is detected rather than served.
-type diskHeader struct {
-	Key    Key    `json:"key"`
-	Digest string `json:"digest"`
+	if err := os.MkdirAll(c.dir, 0o755); err != nil {
+		return fmt.Errorf("popcache: creating %s: %w", c.dir, err)
+	}
+	return WriteFile(c.path(hash), k, pop)
 }
 
 func (c *Cache) path(hash string) string {
 	return filepath.Join(c.dir, "pop-"+hash+".json")
 }
 
-// loadDisk reads and verifies an on-disk entry; nil on any miss or
-// damage, including a payload that does not match its digest (or an
-// entry without one). The digest covers the stored bytes, so verifying
-// it costs a hash, not a re-encode, and the payload is decoded once.
-func (c *Cache) loadDisk(hash string, k Key) *population.Population {
-	data, err := os.ReadFile(c.path(hash))
-	if err != nil {
-		return nil
-	}
-	line, payload, ok := bytes.Cut(data, []byte{'\n'})
-	if !ok {
-		return nil
-	}
-	var h diskHeader
-	if err := json.Unmarshal(line, &h); err != nil || h.Key != k || h.Digest != digest(payload) {
-		return nil
-	}
-	var pop population.Population
-	if err := json.Unmarshal(payload, &pop); err != nil || pop.Metrics == nil {
-		return nil
-	}
-	return &pop
+// ErrMismatch is wrapped by every ReadFile error but a missing file: the
+// entry names another recipe, fails its digest, or has no trailer.
+var ErrMismatch = errors.New("popcache: entry does not match its recipe")
+
+// trailer is the last line of an entry, after the payload: the
+// population's compact JSON plus a newline, which population.Load reads
+// unchanged. The recipe rides along so a renamed, colliding or stale file
+// is detected rather than trusted from its name; Digest is the hex SHA-256
+// of the payload bytes as stored, so a flipped metric digit is detected
+// rather than served.
+type trailer struct {
+	Key    Key    `json:"key"`
+	Digest string `json:"digest"`
 }
 
-// storeDisk writes an entry via temp-file + rename (the manifest package's
-// atomic-write pattern), so concurrent writers and readers are safe.
-func (c *Cache) storeDisk(hash string, k Key, pop *population.Population) error {
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return fmt.Errorf("popcache: creating %s: %w", c.dir, err)
-	}
+// WriteFile stores pop as the entry for recipe k at path through
+// population.WriteFileAtomic, so concurrent writers and readers are safe.
+func WriteFile(path string, k Key, pop *population.Population) error {
 	payload, err := json.Marshal(pop)
 	if err != nil {
 		return fmt.Errorf("popcache: marshaling population: %w", err)
 	}
 	payload = append(payload, '\n')
-	line, err := json.Marshal(diskHeader{Key: k, Digest: digest(payload)})
+	line, err := json.Marshal(trailer{Key: k, Digest: digest(payload)})
 	if err != nil {
-		return fmt.Errorf("popcache: marshaling entry header: %w", err)
+		return fmt.Errorf("popcache: marshaling entry trailer: %w", err)
 	}
-	data := append(append(line, '\n'), payload...)
-	tmp, err := os.CreateTemp(c.dir, "pop-*.tmp")
+	data := append(append(payload, line...), '\n')
+	return population.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// ReadFile returns the population WriteFile stored at path for recipe k.
+// A missing file yields an error matching fs.ErrNotExist, anything else
+// one wrapping ErrMismatch that says why. Verifying the digest costs a
+// hash, not a re-encode, and the payload is decoded once.
+func ReadFile(path string, k Key) (*population.Population, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("popcache: temp file: %w", err)
+		return nil, err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("popcache: writing entry: %w", err)
+	body := bytes.TrimSuffix(data, []byte{'\n'})
+	i := bytes.LastIndexByte(body, '\n')
+	var t trailer
+	if i < 0 || json.Unmarshal(body[i+1:], &t) != nil || t.Digest == "" {
+		return nil, fmt.Errorf("%w: no key/digest trailer", ErrMismatch)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("popcache: closing entry: %w", err)
+	payload := data[:i+1]
+	switch {
+	case t.Key != k:
+		return nil, fmt.Errorf("%w: entry holds another recipe (%s, seed %d, %d runs, scale %g)",
+			ErrMismatch, t.Key.Benchmark, t.Key.BaseSeed, t.Key.Runs, t.Key.Scale)
+	case t.Digest != digest(payload):
+		return nil, fmt.Errorf("%w: payload does not match its digest", ErrMismatch)
 	}
-	if err := os.Rename(tmpName, c.path(hash)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("popcache: publishing entry: %w", err)
+	var pop population.Population
+	if err := json.Unmarshal(payload, &pop); err != nil || pop.Metrics == nil {
+		return nil, fmt.Errorf("%w: payload is not a population", ErrMismatch)
 	}
-	return nil
+	return &pop, nil
 }
 
 // GetOrGenerate returns the cached population for the recipe or invokes

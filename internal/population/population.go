@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -202,7 +204,31 @@ func (p *Population) Save(w io.Writer) error {
 	return enc.Encode(p)
 }
 
-// Load reads a population saved with Save.
+// WriteFileAtomic writes via a temp file in the same directory and
+// renames it into place, propagating Close errors — so a short write (a
+// full disk, a crash mid-campaign) never leaves a truncated file behind.
+// Population cache entries, campaign reports and the campaign service's
+// journal are all written through it.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// Load reads a population saved with Save, or the payload that leads a
+// population cache entry: it decodes only the first JSON value.
 func Load(r io.Reader) (*Population, error) {
 	var p Population
 	if err := json.NewDecoder(r).Decode(&p); err != nil {

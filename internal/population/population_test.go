@@ -2,7 +2,11 @@ package population
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/randx"
@@ -183,5 +187,42 @@ func TestFromValuesCopies(t *testing.T) {
 	}
 	if math.IsNaN(vs[0]) {
 		t.Error("unexpected NaN")
+	}
+}
+
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.json")
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("ok"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || string(got) != "ok" {
+		t.Fatalf("atomic write produced %q, %v", got, err)
+	}
+
+	// A failed write must leave neither the target nor temp litter behind.
+	failPath := filepath.Join(dir, "fail.json")
+	boom := errors.New("disk full")
+	if err := WriteFileAtomic(failPath, func(w io.Writer) error {
+		w.Write([]byte("partial"))
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("want the write error back, got %v", err)
+	}
+	if _, err := os.Stat(failPath); !errors.Is(err, os.ErrNotExist) {
+		t.Error("failed write left the target file behind")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if e.Name() != "out.json" {
+			t.Errorf("leftover file %s after failed atomic write", e.Name())
+		}
 	}
 }
